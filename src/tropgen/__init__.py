@@ -33,18 +33,14 @@ from .fans import (  # noqa: F401
     member,
     permute_weight,
     same_cone,
-    skeleton,
     skeleton_membership,
 )
 from .weights import (  # noqa: F401
     BudgetExceededError,
-    InitialIdeal,
-    check_tropical_basis,
     enumerate_groebner_fan,
     groebner_cone,
     in_tropical_variety,
     initial_form,
-    initial_ideal,
 )
 from .generic import (  # noqa: F401
     DisagreementError,

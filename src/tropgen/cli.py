@@ -12,7 +12,6 @@ disagreement, 5 fan budget exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -22,7 +21,7 @@ from .fans import (
     cone_to_jsonable,
     dumps_canonical,
     fan_to_jsonable,
-    skeleton,
+    w_skeleton,
 )
 from .generic import (
     DisagreementError,
@@ -42,7 +41,6 @@ from .poly import (
     parse_ideal_file,
 )
 from .special import (
-    LinearIdealMatrix,
     NonGenericMatrixError,
     check_linear_theorem,
     check_principal_theorem,
@@ -248,9 +246,10 @@ def cmd_generic(args) -> int:
 
 def cmd_fan(args) -> int:
     if args.fan_kind == "wn":
-        fan = build_W(args.n)
-        if args.skeleton is not None:
-            fan = skeleton(fan, args.skeleton)
+        if args.skeleton is None:
+            fan = build_W(args.n)
+        else:
+            fan = w_skeleton(args.n, args.skeleton)
         label = f"W({args.n})" + (
             f" skeleton {args.skeleton}" if args.skeleton is not None else "")
     else:

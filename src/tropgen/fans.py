@@ -16,14 +16,13 @@ of dimension n - |A| + 1; its t-skeleton collects the C_A with |A| >= n-t+1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
 from .halfspaces import feasible, find_point
 from .linalg import (
     QQ,
-    ZERO,
     kernel_basis_primitive,
     primitive,
     primitive_signed,
@@ -110,13 +109,11 @@ def make_cone(n, equalities=(), inequalities=(), label=None, minimal=False) -> C
 
 
 def member(cone: Cone, w) -> bool:
-    w = tuple(QQ(x) for x in w)
     return (all(vec_dot(e, w) == 0 for e in cone.equalities)
             and all(vec_dot(q, w) <= 0 for q in cone.inequalities))
 
 
 def relative_interior_contains(cone: Cone, w) -> bool:
-    w = tuple(QQ(x) for x in w)
     return (all(vec_dot(e, w) == 0 for e in cone.equalities)
             and all(vec_dot(q, w) < 0 for q in cone.inequalities))
 
@@ -126,20 +123,9 @@ def cone_dim(cone: Cone) -> int:
     lin_dim = cone.n - rank(cone.equalities) if cone.equalities else cone.n
     if feasible(cone.n, equalities=cone.equalities, strict=cone.inequalities):
         return lin_dim
-    # some inequalities are forced tight; fold them in one at a time
-    eqs = list(cone.equalities)
-    ineqs = list(cone.inequalities)
-    changed = True
-    while changed:
-        changed = False
-        for i, q in enumerate(ineqs):
-            others = ineqs[:i] + ineqs[i + 1:]
-            if not feasible(cone.n, equalities=eqs, nonstrict=others, strict=[q]):
-                eqs.append(q)
-                del ineqs[i]
-                changed = True
-                break
-    return cone.n - rank(eqs)
+    # some inequalities are forced tight: the minimal form folds them in
+    minimal = make_cone(cone.n, cone.equalities, cone.inequalities, minimal=True)
+    return cone.n - len(minimal.equalities)
 
 
 def relative_interior_point(cone: Cone):
@@ -183,9 +169,6 @@ class Fan:
     n: int
     cones: tuple
 
-    def max_dim(self) -> int:
-        return max(cone_dim(c) for c in self.cones)
-
 
 def build_W(n: int) -> Fan:
     """The fan of cones C_A = {w : w_i = min w for i in A}, A nonempty.
@@ -217,11 +200,6 @@ def build_W(n: int) -> Fan:
     return Fan(n, tuple(cones))
 
 
-def skeleton(fan: Fan, t: int) -> Fan:
-    """Subfan of cones of dimension at most t."""
-    return Fan(fan.n, tuple(c for c in fan.cones if cone_dim(c) <= t))
-
-
 def w_skeleton(n: int, m: int) -> Fan:
     """The m-skeleton of W(n): cones C_A with |A| >= n - m + 1."""
     full = build_W(n)
@@ -233,20 +211,14 @@ def skeleton_membership(n: int, m: int, w) -> bool:
     attained at least n - m + 1 times (empty skeleton for m <= 0)."""
     if m <= 0:
         return False
-    w = tuple(QQ(x) for x in w)
     lo = min(w)
     return sum(1 for x in w if x == lo) >= n - m + 1
 
 
 def lineality_space(fan: Fan) -> tuple:
     """Primitive basis of the common lineality space of all cones."""
-    rows = []
-    for c in fan.cones:
-        rows.extend(c.equalities)
-        rows.extend(c.inequalities)
-    if not rows:
-        return kernel_basis_primitive((), fan.n)
-    return kernel_basis_primitive(rows, fan.n)
+    rows = {r for c in fan.cones for r in c.equalities + c.inequalities}
+    return kernel_basis_primitive(sorted(rows), fan.n)
 
 
 def permute_weight(w, perm):

@@ -35,9 +35,6 @@ class MarkedGB:
     elements: tuple  # Polynomial, monic on heads, deterministically ordered
     heads: tuple  # head exponent of each element
 
-    def head_ideal_generators(self) -> tuple:
-        return minimal_monomial_generators(self.heads)
-
     def supports(self) -> frozenset:
         return frozenset(g.support() for g in self.elements)
 

@@ -19,30 +19,14 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def qq(value, denom=1):
-    """Coerce to an exact rational."""
-    return QQ(value, denom) if denom != 1 else QQ(value)
-
-
 def vec_dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), ZERO)
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
+    """Dot product; integer vectors give an int, rational ones a rational."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def mat_mul(a, b):
     cols = list(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
-
-
-def mat_vec(a, v):
-    return tuple(vec_dot(row, v) for row in a)
 
 
 def identity(n):
@@ -138,13 +122,12 @@ def mat_inverse(matrix):
 def primitive(vec):
     """Scale a rational vector to a coprime integer vector (direction kept).
 
+    Entries may be ints or exact rationals (anything with a denominator).
     Returns a tuple of ints; the zero vector maps to itself.
     """
-    denoms = lcm(*(int(QQ(x).denominator) for x in vec)) if vec else 1
-    ints = [int(QQ(x) * denoms) for x in vec]
-    g = gcd(*ints) if any(ints) else 1
-    if g == 0:
-        g = 1
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
 

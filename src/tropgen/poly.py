@@ -18,7 +18,7 @@ algorithm terminates on inhomogeneous input as well.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .linalg import QQ, ZERO, ONE, primitive
@@ -76,14 +76,13 @@ class TermOrder:
     """Total order on monomials used for marking Groebner basis heads.
 
     kind is "lex", "grlex" or "weight".  A weight order refines the partial
-    order of a weight vector: heads have minimal weight (ties broken by lex
-    with the given variable priority), and total degree is compared first so
-    the order is global even for negative weights.
+    order of a weight vector: heads have minimal weight (ties broken by
+    lex), and total degree is compared first so the order is global even
+    for negative weights.
     """
 
     kind: str
     weight: Optional[tuple] = None
-    priority: Optional[tuple] = None  # permutation of 0..n-1, default identity
 
     def __post_init__(self):
         if self.kind not in ("lex", "grlex", "weight"):
@@ -95,24 +94,20 @@ class TermOrder:
 
     def key(self, exp):
         """Preference key; the head of a polynomial maximizes it."""
-        if self.priority is not None:
-            lex = tuple(exp[p] for p in self.priority)
-        else:
-            lex = exp
         if self.kind == "lex":
-            return lex
+            return exp
         if self.kind == "grlex":
-            return (sum(exp), lex)
+            return (sum(exp), exp)
         w = self.weight
-        return (sum(exp), -sum(wi * e for wi, e in zip(w, exp)), lex)
+        return (sum(exp), -sum(wi * e for wi, e in zip(w, exp)), exp)
 
 
 GRLEX = TermOrder("grlex")
 LEX = TermOrder("lex")
 
 
-def weight_order(w, priority=None) -> TermOrder:
-    return TermOrder("weight", weight=tuple(w), priority=priority)
+def weight_order(w) -> TermOrder:
+    return TermOrder("weight", weight=tuple(w))
 
 
 def compare_monomials(a, b, order: TermOrder) -> int:
@@ -152,22 +147,12 @@ class Polynomial:
             return Polynomial.zero(n)
         return Polynomial(n, (((0,) * n, c),))
 
-    @staticmethod
-    def variable(n: int, i: int) -> "Polynomial":
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return Polynomial(n, ((exp, ONE),))
-
     def as_dict(self) -> dict:
         return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(monomial_degree(e) for e, _ in self.terms)
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common degree of all terms, or None if not homogeneous."""
@@ -226,12 +211,6 @@ class Polynomial:
                 out[e] = out.get(e, ZERO) + c1 * c2
         return Polynomial.from_dict(self.n, out)
 
-    def scale(self, c) -> "Polynomial":
-        c = QQ(c)
-        if c == 0:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, tuple((e, c * co) for e, co in self.terms))
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
@@ -248,16 +227,6 @@ class Polynomial:
         return format_polynomial(self)
 
     __repr__ = __str__
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def is_homogeneous(p: Polynomial):
-    """(True, degree) for homogeneous nonzero p, else (False, None)."""
-    d = p.homogeneous_degree()
-    return (d is not None, d)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +348,6 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
     return Polynomial.from_dict(n, coeffs)
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def format_polynomial(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
@@ -396,11 +361,11 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(f"x{i + 1}^{k}")
         mag = abs(c)
         if not factors:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coeff(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -434,9 +399,3 @@ def parse_ideal_file(text: str) -> Ideal:
     if not gens:
         raise ParseError("no generators", 0)
     return Ideal.of(n, gens)
-
-
-def format_ideal(I: Ideal) -> str:
-    lines = [f"vars: {I.n}"]
-    lines.extend(format_polynomial(g) for g in I.generators)
-    return "\n".join(lines) + "\n"

@@ -25,11 +25,18 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .fans import Cone, build_W, cone_dim, make_cone, same_cone, skeleton_membership
-from .generic import random_transform, transform_ideal, trial_seed
-from .groebner import krull_dimension, reduced_gb
-from .linalg import QQ, ZERO, ONE, det, mat_mul, rank, rref
-from .poly import GRLEX, Ideal, ParseError, Polynomial
+from .fans import Cone, build_W, make_cone, same_cone, skeleton_membership
+from .generic import (
+    apply_transform,
+    check_skeleton_equality,
+    generic_membership_map,
+    normalized_grid,
+    random_transform,
+    trial_seed,
+)
+from .groebner import krull_dimension
+from .linalg import QQ, ZERO, det, identity, mat_mul, rank, rref
+from .poly import Ideal, ParseError, Polynomial
 from .weights import MembershipMap, enumerate_groebner_fan, groebner_cone
 
 
@@ -67,8 +74,6 @@ def full_support_transform(f: Polynomial, bound: int, seed: int,
 
     For deg f >= 1 such transforms form a dense open set, so resampling
     succeeds quickly; returns (g, g_of_f)."""
-    from .generic import apply_transform
-
     n, d = f.n, f.homogeneous_degree()
     full = comb(n + d - 1, d)
     for attempt in range(attempts):
@@ -109,13 +114,9 @@ def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
     g(f) are nonzero, the grid membership of T(g(f)) equals the
     (n-1)-skeleton of W(n), and (once, n <= 4) the Groebner fan of g(f) is
     same_cone-bijective with the maximal cones of W(n)."""
-    from itertools import product
-    from .weights import normalize_grid_point
-
     n = f.n
     report = PrincipalReport()
-    points = sorted({normalize_grid_point(w)
-                     for w in product(range(-radius, radius + 1), repeat=n)})
+    points = normalized_grid(n, radius)
     for trial in range(trials):
         g, gf = full_support_transform(f, bound, trial_seed(seed, trial) * 7 + 1)
         if any(p == 0 for p in pure_power_coefficients(f, g)):
@@ -265,10 +266,8 @@ def linear_groebner_cone(A_red, n, w) -> Cone:
         raise ValueError("rank must be between 1 and n-1")
     if not right_block_nonzero(A_red, n):
         raise NonGenericMatrixError("a right-block entry vanishes")
-    if not check_minors(LinearIdealMatrix.of(A_red, n), tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))):
+    if not check_minors(LinearIdealMatrix.of(A_red, n), identity(n)):
         raise NonGenericMatrixError("a maximal minor vanishes")
-    w = tuple(QQ(x) for x in w)
     order = sorted(range(n), key=lambda i: (w[i], i))
     values = [w[i] for i in order]
     if values[r - 1] < values[r]:
@@ -280,11 +279,7 @@ def linear_groebner_cone(A_red, n, w) -> Cone:
     pivot_value = values[r - 1]
     E = [i for i in range(n) if w[i] == pivot_value]
     B = [i for i in range(n) if w[i] < pivot_value]
-    T = [i for i in range(n) if w[i] > pivot_value]
-    e0 = E[0]
-    eqs = [_unit_diff(n, e, e0) for e in E[1:]]
-    ineqs = [_unit_diff(n, b, e0) for b in B] + [_unit_diff(n, e0, t) for t in T]
-    return make_cone(n, eqs, ineqs)
+    return plateau_cone(n, B, E)
 
 
 def _unit_diff(n, i, j):
@@ -366,8 +361,6 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
     maximal cone of W(n)^m is one of the closed-form plateau cones.
     """
     import random as _random
-    from itertools import product, combinations as _comb
-    from .generic import generic_membership_map, check_skeleton_equality
 
     n, r = A.n, A.rank
     m = n - r
@@ -420,7 +413,7 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
     # below-block and plateau size r + 1; witness each by the indicator
     # weight vanishing on the plateau
     if generic_rows is not None:
-        for E in _comb(range(n), r + 1):
+        for E in combinations(range(n), r + 1):
             w = tuple(0 if i in E else 1 for i in range(n))
             w_cone = next(c for c in build_W(n).cones if c.label == tuple(E))
             if not same_cone(linear_groebner_cone(generic_rows, n, w), w_cone):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
@@ -19,7 +19,6 @@ from .fans import (
     cone_dim,
     dumps_canonical,
     lineality_space,
-    skeleton_membership,
 )
 from .generic import (
     check_lineality,

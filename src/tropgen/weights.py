@@ -14,19 +14,12 @@ Groebner cones, so membership is constant on each of them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from math import gcd
 
-from .fans import (
-    Cone,
-    Fan,
-    cone_dim,
-    make_cone,
-    relative_interior_contains,
-)
-from .groebner import MarkedGB, buchberger, contains_monomial, reduced_gb
+from .fans import Cone, Fan, make_cone, relative_interior_contains
+from .groebner import MarkedGB, contains_monomial, reduced_gb
 from .halfspaces import find_point
-from .linalg import QQ, ZERO, primitive, vec_dot
+from .linalg import QQ, primitive, vec_dot
 from .poly import Ideal, Polynomial, weight_order
 
 
@@ -43,7 +36,6 @@ def initial_form(p: Polynomial, w) -> Polynomial:
     """Terms of p of minimal w-weight."""
     if p.is_zero:
         return p
-    w = tuple(QQ(x) for x in w)
     weights = [vec_dot(w, e) for e, _ in p.terms]
     lo = min(weights)
     return Polynomial(p.n, tuple(t for t, wt in zip(p.terms, weights) if wt == lo))
@@ -53,21 +45,6 @@ def weight_gb(ideal: Ideal, w) -> MarkedGB:
     """Reduced Groebner basis for the w-refined order; on graded ideals the
     marked head of each element is its minimal-weight term (lex-max tie)."""
     return reduced_gb(ideal, weight_order(primitive(w)))
-
-
-@dataclass(frozen=True)
-class InitialIdeal:
-    """in_w(I), generated by the initial forms of a w-refined basis."""
-
-    generators: tuple
-    source_weight: tuple
-    source_gb: MarkedGB
-
-
-def initial_ideal(ideal: Ideal, w) -> InitialIdeal:
-    gb = weight_gb(ideal, w)
-    return InitialIdeal(tuple(initial_form(g, w) for g in gb.elements),
-                        tuple(w), gb)
 
 
 def initial_ideal_generators(ideal: Ideal, w) -> tuple:
@@ -94,7 +71,6 @@ def groebner_cone(ideal: Ideal, w) -> Cone:
     witnesses that every remaining row can be strictly negative, so the
     representation needs no further tightness analysis.
     """
-    w = tuple(QQ(x) for x in w)
     gb = weight_gb(ideal, w)
     eqs, ineqs = set(), set()
     for g, h in zip(gb.elements, gb.heads):
@@ -145,14 +121,16 @@ def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
 
 
 def _generic_start(ideal: Ideal):
-    """Deterministic weight in the interior of a full-dimensional cone."""
+    """Deterministic weight in the interior of a full-dimensional cone.
+
+    A Groebner cone without equalities is full-dimensional: its weight
+    satisfies every inequality row strictly (see groebner_cone)."""
     n = ideal.n
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     for shift in range(len(primes) - n + 1):
         w = tuple(QQ(p, q) for p, q in
                   zip(primes[shift:shift + n], range(1, n + 1)))
-        cone = groebner_cone(ideal, w)
-        if not cone.equalities and cone_dim(cone) == n:
+        if not groebner_cone(ideal, w).equalities:
             return w
     raise RuntimeError("could not find a generic start weight")
 
@@ -163,7 +141,7 @@ def _flip(ideal: Ideal, cone: Cone, row, p):
     for _ in range(64):
         w = tuple(pi + eps * ri for pi, ri in zip(p, row))
         other = groebner_cone(ideal, w)
-        if (other.equalities == () and cone_dim(other) == ideal.n
+        if (other.equalities == ()
                 and (other.equalities, other.inequalities)
                 != (cone.equalities, cone.inequalities)
                 and _in_closure(other, p)):
@@ -177,107 +155,25 @@ def _in_closure(cone: Cone, p) -> bool:
             and all(vec_dot(q, p) <= 0 for q in cone.inequalities))
 
 
-def check_tropical_basis(gens, ideal: Ideal, sample) -> bool:
-    """Sample-based tropical-basis check: true iff on every sampled weight,
-    membership of w in T(I) coincides with no generator having a monomial
-    initial form.  A False is a genuine refutation; a True is only
-    evidence limited to the sample."""
-    for w in sample:
-        gens_say = all(len(initial_form(g, w).terms) > 1 for g in gens)
-        if gens_say != in_tropical_variety(ideal, w):
-            return False
-    return True
-
-
-def is_tropical_basis(ideal: Ideal, budget=None):
-    """Check whether the generators already cut out T(I).
-
-    T(I) is contained in the intersection of the T(f) over the generators
-    f; the generators form a tropical basis iff the two sets agree.  Both
-    sides are constant on the open cells of the hyperplane arrangement
-    spanned by the generators' term ties together with the facet normals
-    of the full Groebner fan, so testing one interior point per cell is a
-    complete check.  Returns (True, None) or (False, witness_weight).
-    """
-    for w in _candidate_weights(ideal, budget):
-        gens_say = all(len(initial_form(g, w).terms) > 1
-                       for g in ideal.generators)
-        if gens_say and not in_tropical_variety(ideal, w):
-            return (False, tuple(w))
-    return (True, None)
-
-
-def _candidate_weights(ideal: Ideal, budget=None):
-    """One relative interior point per cell (of every dimension) of the
-    arrangement of generator tie hyperplanes and Groebner fan facets."""
-    n = ideal.n
-    rows = set()
-    for g in ideal.generators:
-        exps = [e for e, _ in g.terms]
-        for i in range(len(exps)):
-            for j in range(i + 1, len(exps)):
-                row = tuple(a - b for a, b in zip(exps[i], exps[j]))
-                if any(row):
-                    rows.add(primitive(row))
-    fan = enumerate_groebner_fan(ideal, budget)
-    for cone in fan.cones:
-        rows.update(cone.inequalities)
-    # identify a row with its negation
-    uniq = set()
-    for row in rows:
-        neg = tuple(-x for x in row)
-        if neg not in uniq:
-            uniq.add(row)
-    rows = sorted(uniq)
-    seen = set()
-
-    def walk(eqs, strict):
-        k = len(eqs) + len(strict)
-        if find_point(n, equalities=eqs, strict=strict) is None:
-            return
-        if k == len(rows):
-            p = find_point(n, equalities=eqs, strict=strict)
-            key = tuple(p)
-            if key not in seen:
-                seen.add(key)
-                yield p
-            return
-        row = rows[k]
-        yield from walk(eqs + [row], strict)
-        yield from walk(eqs, strict + [row])
-        yield from walk(eqs, strict + [tuple(-x for x in row)])
-
-    yield from walk([], [])
-
-
 # ---------------------------------------------------------------------------
 # membership maps over integer grids
 
 def normalize_grid_point(w):
-    """Canonical representative of w modulo the lineality direction
-    (1,..,1) and positive scaling: subtract the minimum, divide by the gcd.
-    Tropical membership of a graded ideal is invariant under both."""
+    """Canonical representative of an integer weight w modulo the lineality
+    direction (1,..,1) and positive scaling: subtract the minimum, divide
+    by the gcd.  Tropical membership of a graded ideal is invariant under
+    both.  Rational entries raise TypeError rather than being truncated."""
     lo = min(w)
     shifted = tuple(x - lo for x in w)
-    g = gcd(*(int(x) for x in shifted)) if any(shifted) else 1
-    if g == 0:
-        g = 1
-    return tuple(int(x) // g for x in shifted)
-
-
-def grid_points(n: int, radius: int, half: bool = True):
-    """Integer grid [-radius, radius]^n; with half=True only points whose
-    first nonzero coordinate (after subtracting the minimum) pattern is
-    kept once per normalized representative, which is sound because
-    membership only depends on the normalized point."""
-    from itertools import product
-    for w in product(range(-radius, radius + 1), repeat=n):
-        yield w
+    g = gcd(*shifted) or 1
+    return tuple(x // g for x in shifted)
 
 
 class MembershipMap:
-    """Lazy tropical membership over normalized weights, cached per
-    relatively open Groebner cone (membership is constant there)."""
+    """Lazy tropical membership over integer weights, cached per normalized
+    weight and per relatively open Groebner cone (membership is constant
+    there).  Rational weights raise TypeError (see normalize_grid_point);
+    use in_tropical_variety for them."""
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
@@ -285,16 +181,15 @@ class MembershipMap:
         self._cones: list = []  # (cone, verdict)
 
     def query(self, w) -> bool:
-        key = normalize_grid_point(tuple(QQ(x) for x in w))
+        key = normalize_grid_point(w)
         if key in self._points:
             return self._points[key]
-        wq = tuple(QQ(x) for x in key)
         for cone, verdict in self._cones:
-            if relative_interior_contains(cone, wq):
+            if relative_interior_contains(cone, key):
                 self._points[key] = verdict
                 return verdict
-        verdict = in_tropical_variety(self.ideal, wq)
-        cone = groebner_cone(self.ideal, wq)
+        verdict = in_tropical_variety(self.ideal, key)
+        cone = groebner_cone(self.ideal, key)
         self._cones.append((cone, verdict))
         self._points[key] = verdict
         return verdict

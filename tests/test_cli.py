@@ -109,6 +109,15 @@ class TestFan:
         assert len(data["cones"]) == 5  # 4 of dim 2 and 1 of dim 1
         assert sum(1 for c in data["cones"] if len(c["label"]) == 3) == 4
 
+    def test_wn_skeleton_labels(self, capsys):
+        # the m-skeleton of W(n) is exactly the C_A with |A| >= n - m + 1
+        code, out, _ = run(capsys, "fan", "wn", "--n", "4", "--skeleton", "2",
+                           "--json")
+        assert code == 0
+        labels = sorted(tuple(c["label"]) for c in json.loads(out)["cones"])
+        assert labels == [(1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3, 4),
+                          (2, 3, 4)]
+
     def test_fan_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "fan", "wn", "--n", "3", "--json")
         _, out2, _ = run(capsys, "fan", "wn", "--n", "3", "--json")

@@ -19,7 +19,6 @@ from tropgen.fans import (
     relative_interior_contains,
     relative_interior_point,
     same_cone,
-    skeleton,
     skeleton_membership,
     w_skeleton,
 )
@@ -63,8 +62,6 @@ class TestBuildW:
 
 class TestSkeleton:
     def test_skeleton_subfan(self):
-        fan = build_W(4)
-        assert len(skeleton(fan, 2).cones) == comb(4, 0) + comb(4, 1)
         assert len(w_skeleton(4, 2).cones) == 5
 
     @pytest.mark.parametrize("n,m,w,expected", [

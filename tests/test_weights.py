@@ -1,5 +1,7 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropgen.fans import cone_dim, member, relative_interior_point, same_cone
@@ -7,13 +9,11 @@ from tropgen.poly import Ideal, parse_polynomial
 from tropgen.weights import (
     BudgetExceededError,
     MembershipMap,
-    check_tropical_basis,
     enumerate_groebner_fan,
     groebner_cone,
     in_tropical_variety,
     initial_form,
-    initial_ideal,
-    is_tropical_basis,
+    initial_ideal_generators,
     normalize_grid_point,
 )
 
@@ -46,17 +46,17 @@ class TestInitialForm:
 
 class TestInitialIdeal:
     def test_identity_weight(self):
-        ini = initial_ideal(I(2, "x1 + x2"), (0, 0))
-        assert ini.generators == (P("x1 + x2", 2),)
+        gens = initial_ideal_generators(I(2, "x1 + x2"), (0, 0))
+        assert gens == (P("x1 + x2", 2),)
 
     def test_unbalanced_weight(self):
-        ini = initial_ideal(I(2, "x1 + x2"), (0, 1))
-        assert ini.generators == (P("x1", 2),)
+        gens = initial_ideal_generators(I(2, "x1 + x2"), (0, 1))
+        assert gens == (P("x1", 2),)
 
     def test_monomial_ideal_is_its_own_initial(self):
         for w in [(0, 0), (1, 5), (-2, 3)]:
-            ini = initial_ideal(I(2, "x1*x2"), w)
-            assert ini.generators == (P("x1*x2", 2),)
+            gens = initial_ideal_generators(I(2, "x1*x2"), w)
+            assert gens == (P("x1*x2", 2),)
 
     def test_nontrivial_initial_needs_gb(self):
         # at a tie between the generators' head candidates, a GB element's
@@ -118,8 +118,8 @@ class TestGroebnerCone:
         w = (0, 1, 2)
         cone = groebner_cone(ideal, w)
         p = relative_interior_point(cone)
-        assert initial_ideal(ideal, w).generators == \
-            initial_ideal(ideal, p).generators
+        assert (initial_ideal_generators(ideal, w)
+                == initial_ideal_generators(ideal, p))
 
 
 class TestFanEnumeration:
@@ -158,33 +158,6 @@ class TestFanEnumeration:
             assert in_tropical_variety(ideal, p) == in_tropical_variety(ideal, q)
 
 
-class TestTropicalBasis:
-    def test_principal_is_basis(self):
-        ok, witness = is_tropical_basis(I(2, "x1 + x2"))
-        assert ok and witness is None
-
-    def test_refutation(self):
-        ideal = I(3, "x1 + x2 + x3", "x1 + 2*x2")
-        ok, witness = is_tropical_basis(ideal)
-        assert not ok
-        # the witness is genuine: generators disagree with the variety there
-        gens = ideal.generators
-        assert all(len(initial_form(g, witness).terms) > 1 for g in gens)
-        assert not in_tropical_variety(ideal, witness)
-
-    def test_sample_based_check(self):
-        ideal = I(3, "x1 + x2 + x3", "x1 + 2*x2")
-        sample = [(0, 0, 0), (0, 0, 2), (1, 0, 0)]
-        assert not check_tropical_basis(ideal.generators, ideal, sample)
-        assert check_tropical_basis(ideal.generators, ideal, [(0, 0, 0)])
-
-    def test_monomial_generators_are_basis_for_empty_variety(self):
-        # both T(I) and the generator hypersurface intersection are empty
-        ideal = I(3, "x1*x2", "x1*x3")
-        ok, witness = is_tropical_basis(ideal)
-        assert ok, witness
-
-
 class TestNormalization:
     def test_normalize(self):
         assert normalize_grid_point((2, 3, 4)) == (0, 1, 2)
@@ -198,3 +171,19 @@ class TestNormalization:
 
         for w in product(range(-2, 3), repeat=3):
             assert mm.query(w) == in_tropical_variety(ideal, w)
+
+    def test_integer_weights_stay_integer(self):
+        key = normalize_grid_point((3, 5, 7))
+        assert key == (0, 1, 2)
+        assert all(type(x) is int for x in key)
+
+    def test_rational_weight_is_rejected_not_truncated(self):
+        # (1/2, 0, 0) lies outside T(x1 + x2); truncating it to (0, 0, 0)
+        # would wrongly answer True
+        ideal = I(3, "x1 + x2")
+        w = (Fraction(1, 2), 0, 0)
+        assert not in_tropical_variety(ideal, w)
+        with pytest.raises(TypeError):
+            normalize_grid_point(w)
+        with pytest.raises(TypeError):
+            MembershipMap(ideal).query(w)
