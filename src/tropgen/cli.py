@@ -4,9 +4,10 @@ Text output is a human summary (and the only place wall-clock times
 appear); JSON output is the machine contract and is byte-identical across
 runs with the same input, seed and flags.
 
-Exit codes: 0 success / all checks passed, 1 a check failed, 2 parse or
-usage error, 3 improper ideal (contains a unit), 4 persistent transform
-disagreement, 5 fan budget exceeded.
+Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
+fan walk found no cone across a facet, 2 parse or usage error, 3 improper
+ideal (contains a unit), 4 persistent transform disagreement, 5 fan budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .special import (
 from .verify import Corpus, VerifySession
 from .weights import (
     BudgetExceededError,
+    IncompleteFanError,
     enumerate_groebner_fan,
     in_tropical_variety,
     initial_ideal_generators,
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except IncompleteFanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

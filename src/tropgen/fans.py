@@ -18,18 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Optional
 
-from .halfspaces import feasible, find_point
-from .linalg import (
-    QQ,
-    kernel_basis_primitive,
-    primitive,
-    primitive_signed,
-    rank,
-    rref,
-    vec_dot,
-)
+from .halfspaces import feasible
+from .linalg import kernel_basis_primitive, primitive, vec_dot
 
 
 @dataclass(frozen=True)
@@ -37,75 +30,56 @@ class Cone:
     """Canonicalized polyhedral cone {x : E x = 0, Q x <= 0}."""
 
     n: int
-    equalities: tuple  # integer row tuples, RREF-scaled and sign-normalized
-    inequalities: tuple  # primitive integer rows, sorted
+    equalities: tuple  # RREF rows scaled to primitive integers, in pivot order
+    inequalities: tuple  # primitive integer rows reduced modulo E, sorted
     label: Optional[tuple] = None  # for W(n) cones: the sorted index set A
 
 
-def _reduce_mod_equalities(row, eq_rows, pivots):
-    """Eliminate the pivot coordinates of the equality space from a row."""
-    out = list(QQ(x) for x in row)
-    for erow, p in zip(eq_rows, pivots):
-        f = out[p] / erow[p]
-        if f != 0:
-            out = [x - f * y for x, y in zip(out, erow)]
-    return tuple(out)
+def _eliminate(row, erow, c):
+    """Clear coordinate c of an integer row with erow (erow[c] > 0).
+
+    The row is scaled by a positive factor only, so its sign survives; the
+    result is primitive."""
+    b = row[c]
+    if not b:
+        return row
+    a = erow[c]
+    out = [a * x - b * y for x, y in zip(row, erow)]
+    g = gcd(*out) or 1
+    return tuple(x // g for x in out)
 
 
-def make_cone(n, equalities=(), inequalities=(), label=None, minimal=False) -> Cone:
-    """Canonicalize the H-representation.
+def make_cone(n, equalities=(), inequalities=(), label=None) -> Cone:
+    """Canonicalize the H-representation with integer arithmetic only.
 
-    Equalities are put in RREF and scaled to primitive sign-normalized
-    integer rows.  Inequalities are reduced modulo the equality space,
-    scaled primitive, deduplicated and sorted; zero rows drop out.  With
-    minimal=True, inequalities that are forced tight on the cone become
-    equalities and redundant inequalities are removed, so the result is a
-    unique irredundant representation (used for cross-checking cones).
+    Fraction-free Gauss-Jordan elimination turns the equalities into
+    primitive rows with positive pivots, which are the RREF rows scaled.
+    Inequalities are reduced modulo them (every pivot coordinate cleared),
+    made primitive, deduplicated and sorted; zero rows drop out.  Rational
+    input rows are scaled to primitive integer rows first.
     """
-    eq_rows = [tuple(QQ(x) for x in e) for e in equalities]
-    ineq_rows = [tuple(QQ(x) for x in q) for q in inequalities]
+    work = [r for r in map(primitive, equalities) if any(r)]
+    eq_rows, pivots = [], []
+    for c in range(n):
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
+            continue
+        erow = work.pop(i)
+        if erow[c] < 0:
+            erow = tuple(-x for x in erow)
+        work = [r for r in (_eliminate(r, erow, c) for r in work) if any(r)]
+        eq_rows = [_eliminate(r, erow, c) for r in eq_rows]
+        eq_rows.append(erow)
+        pivots.append(c)
 
-    if minimal:
-        # detect inequalities that hold with equality on the whole cone
-        changed = True
-        while changed:
-            changed = False
-            for i, q in enumerate(ineq_rows):
-                others = ineq_rows[:i] + ineq_rows[i + 1:]
-                if not feasible(n, equalities=eq_rows, nonstrict=others, strict=[q]):
-                    eq_rows.append(q)
-                    del ineq_rows[i]
-                    changed = True
-                    break
-
-    reduced, pivots = rref(eq_rows)
-    eq_canon = tuple(primitive_signed(r) for r in reduced)
-
-    seen = set()
-    ineq_canon = []
-    for q in ineq_rows:
-        r = _reduce_mod_equalities(q, reduced, pivots)
-        p = primitive(r)
-        if any(p) and p not in seen:
-            seen.add(p)
-            ineq_canon.append(p)
-
-    if minimal:
-        # drop inequalities implied by the others
-        kept = list(ineq_canon)
-        i = 0
-        while i < len(kept):
-            q = kept[i]
-            others = kept[:i] + kept[i + 1:]
-            # q is redundant iff {x in cone w/o q : q.x > 0} is empty
-            neg_q = tuple(-x for x in q)
-            if not feasible(n, equalities=eq_canon, nonstrict=others, strict=[neg_q]):
-                del kept[i]
-            else:
-                i += 1
-        ineq_canon = kept
-
-    return Cone(n, eq_canon, tuple(sorted(ineq_canon)), label)
+    ineq_rows = set()
+    for q in inequalities:
+        q = primitive(q)
+        for erow, c in zip(eq_rows, pivots):
+            q = _eliminate(q, erow, c)
+        if any(q):
+            ineq_rows.add(q)
+    return Cone(n, tuple(eq_rows), tuple(sorted(ineq_rows)), label)
 
 
 def member(cone: Cone, w) -> bool:
@@ -119,23 +93,17 @@ def relative_interior_contains(cone: Cone, w) -> bool:
 
 
 def cone_dim(cone: Cone) -> int:
-    """Dimension of the cone as a polyhedron."""
-    lin_dim = cone.n - rank(cone.equalities) if cone.equalities else cone.n
-    if feasible(cone.n, equalities=cone.equalities, strict=cone.inequalities):
-        return lin_dim
-    # some inequalities are forced tight: the minimal form folds them in
-    minimal = make_cone(cone.n, cone.equalities, cone.inequalities, minimal=True)
-    return cone.n - len(minimal.equalities)
+    """Dimension of the cone as a polyhedron.
 
-
-def relative_interior_point(cone: Cone):
-    """A rational point with all non-forced-tight inequalities strict."""
-    p = find_point(cone.n, equalities=cone.equalities, strict=cone.inequalities)
-    if p is not None:
-        return p
-    minimal = make_cone(cone.n, cone.equalities, cone.inequalities, minimal=True)
-    return find_point(cone.n, equalities=minimal.equalities,
-                      strict=minimal.inequalities)
+    Canonical equality rows are independent, so when all inequalities can
+    be strict at once the dimension is n minus their number.  Otherwise the
+    inequalities that are tight on the whole cone join the equalities."""
+    eqs, ineqs = cone.equalities, cone.inequalities
+    if not feasible(cone.n, equalities=eqs, strict=ineqs):
+        tight = tuple(q for q in ineqs if not feasible(
+            cone.n, equalities=eqs, nonstrict=ineqs, strict=[q]))
+        eqs = make_cone(cone.n, eqs + tight).equalities
+    return cone.n - len(eqs)
 
 
 def cone_contains(outer: Cone, inner: Cone) -> bool:

@@ -1,19 +1,13 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here is arbitrary precision.  Matrices are tuples of row tuples;
-``QQ`` is gmpy2's mpq when available (noticeably faster), ``Fraction``
-otherwise.  Both behave identically for our purposes (exact arithmetic,
-comparisons, hashing, str()).
+Everything here is arbitrary precision.  Matrices are tuples of row tuples
+and ``QQ``, the rational type used throughout, is ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as QQ
 from math import gcd, lcm
-
-try:
-    from gmpy2 import mpq as QQ  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
-    from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)

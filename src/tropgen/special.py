@@ -37,7 +37,12 @@ from .generic import (
 from .groebner import krull_dimension
 from .linalg import QQ, ZERO, det, identity, mat_mul, rank, rref
 from .poly import Ideal, ParseError, Polynomial
-from .weights import MembershipMap, enumerate_groebner_fan, groebner_cone
+from .weights import (
+    MembershipMap,
+    enumerate_groebner_fan,
+    groebner_cone,
+    weight_gb,
+)
 
 
 class NonGenericMatrixError(ValueError):
@@ -397,7 +402,7 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
         for _ in range(n_weights):
             w = tuple(rng.randint(-3, 3) for _ in range(n))
             closed = linear_groebner_cone(generic_rows, n, w)
-            engine = groebner_cone(lin_ideal, w)
+            engine = groebner_cone(weight_gb(lin_ideal, w), w)
             if not same_cone(closed, engine):
                 report.cones_agree = False
                 report.mismatches.append(("cone", w))

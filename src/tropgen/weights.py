@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from math import gcd
 
-from .fans import Cone, Fan, make_cone, relative_interior_contains
+from .fans import Cone, Fan, make_cone, member, relative_interior_contains
 from .groebner import MarkedGB, contains_monomial, reduced_gb
 from .halfspaces import find_point
 from .linalg import QQ, primitive, vec_dot
@@ -55,15 +55,21 @@ def initial_ideal_generators(ideal: Ideal, w) -> tuple:
 
 def in_tropical_variety(ideal: Ideal, w) -> bool:
     """w lies in T(I) iff in_w(I) contains no monomial."""
-    gens = initial_ideal_generators(ideal, w)
+    return _no_monomial_initial(weight_gb(ideal, w), w)
+
+
+def _no_monomial_initial(gb: MarkedGB, w) -> bool:
+    """The tropical verdict at w read off the w-refined basis gb."""
+    gens = tuple(initial_form(g, w) for g in gb.elements)
     # a single-term initial form is itself a monomial of in_w(I)
     if any(len(g.terms) == 1 for g in gens):
         return False
-    return not contains_monomial(gens, ideal.n)
+    return not contains_monomial(gens, gb.n)
 
 
-def groebner_cone(ideal: Ideal, w) -> Cone:
-    """Closure of the set of weights with the same marked basis as w.
+def groebner_cone(gb: MarkedGB, w) -> Cone:
+    """Closure of the set of weights with the marked basis gb, which is
+    the w-refined basis weight_gb(ideal, w).
 
     Rows are head_exponent - other_exponent per Groebner basis element and
     term: nonpositive on the cone (heads have minimal weight).  Rows tied
@@ -71,7 +77,6 @@ def groebner_cone(ideal: Ideal, w) -> Cone:
     witnesses that every remaining row can be strictly negative, so the
     representation needs no further tightness analysis.
     """
-    gb = weight_gb(ideal, w)
     eqs, ineqs = set(), set()
     for g, h in zip(gb.elements, gb.heads):
         for e, _ in g.terms:
@@ -82,30 +87,34 @@ def groebner_cone(ideal: Ideal, w) -> Cone:
                 eqs.add(row)
             else:
                 ineqs.add(row)
-    return make_cone(ideal.n, sorted(eqs), sorted(ineqs))
+    return make_cone(gb.n, sorted(eqs), sorted(ineqs))
+
+
+class IncompleteFanError(RuntimeError):
+    """A facet flip found no neighbouring cone, so the fan walk would be
+    incomplete."""
 
 
 def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
-    """All full-dimensional Groebner cones, by breadth-first facet flipping.
+    """All full-dimensional Groebner cones, by depth-first facet flipping.
 
     Starting from a cone containing a fixed generic weight, each facet
     (inequality row tight, all others strict) yields an interior facet
     point p; stepping to p + eps * row for small rational eps > 0 lands in
     the relative interior of the neighbouring cone.  The traversal stops
-    with BudgetExceededError when more than `budget` cones appear.
+    with BudgetExceededError when more than `budget` cones appear, and
+    with IncompleteFanError when a flip fails.
     """
     n = ideal.n
     if budget is None:
         budget = fan_budget()
-    cones = {}
-    queue = [_generic_start(ideal)]
-    while queue:
-        w = queue.pop()
-        cone = groebner_cone(ideal, w)
-        key = (cone.equalities, cone.inequalities)
-        if key in cones:
+    cones = {}  # insertion-ordered set
+    stack = [_generic_start(ideal)]
+    while stack:
+        cone = stack.pop()
+        if cone in cones:
             continue
-        cones[key] = cone
+        cones[cone] = None
         if len(cones) > budget:
             raise BudgetExceededError(
                 f"more than {budget} full-dimensional Groebner cones")
@@ -114,14 +123,12 @@ def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
             p = find_point(n, equalities=[row], strict=others)
             if p is None:
                 continue  # not a facet: row is redundant
-            neighbor = _flip(ideal, cone, row, p)
-            if neighbor is not None:
-                queue.append(neighbor)
-    return Fan(n, tuple(cones.values()))
+            stack.append(_flip(ideal, cone, row, p))
+    return Fan(n, tuple(cones))
 
 
-def _generic_start(ideal: Ideal):
-    """Deterministic weight in the interior of a full-dimensional cone.
+def _generic_start(ideal: Ideal) -> Cone:
+    """Full-dimensional Groebner cone at a deterministic weight.
 
     A Groebner cone without equalities is full-dimensional: its weight
     satisfies every inequality row strictly (see groebner_cone)."""
@@ -130,29 +137,24 @@ def _generic_start(ideal: Ideal):
     for shift in range(len(primes) - n + 1):
         w = tuple(QQ(p, q) for p, q in
                   zip(primes[shift:shift + n], range(1, n + 1)))
-        if not groebner_cone(ideal, w).equalities:
-            return w
+        cone = groebner_cone(weight_gb(ideal, w), w)
+        if not cone.equalities:
+            return cone
     raise RuntimeError("could not find a generic start weight")
 
 
-def _flip(ideal: Ideal, cone: Cone, row, p):
-    """Weight in the relative interior of the cone across the given facet."""
+def _flip(ideal: Ideal, cone: Cone, row, p) -> Cone:
+    """The full-dimensional cone across the facet {row . x = 0} of cone,
+    whose closure holds the facet point p."""
     eps = QQ(1)
     for _ in range(64):
         w = tuple(pi + eps * ri for pi, ri in zip(p, row))
-        other = groebner_cone(ideal, w)
-        if (other.equalities == ()
-                and (other.equalities, other.inequalities)
-                != (cone.equalities, cone.inequalities)
-                and _in_closure(other, p)):
-            return w
+        other = groebner_cone(weight_gb(ideal, w), w)
+        if not other.equalities and other != cone and member(other, p):
+            return other
         eps /= 2
-    return None
-
-
-def _in_closure(cone: Cone, p) -> bool:
-    return (all(vec_dot(e, p) == 0 for e in cone.equalities)
-            and all(vec_dot(q, p) <= 0 for q in cone.inequalities))
+    raise IncompleteFanError(
+        f"no Groebner cone found across the facet with row {row}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +190,9 @@ class MembershipMap:
             if relative_interior_contains(cone, key):
                 self._points[key] = verdict
                 return verdict
-        verdict = in_tropical_variety(self.ideal, key)
-        cone = groebner_cone(self.ideal, key)
+        gb = weight_gb(self.ideal, key)
+        verdict = _no_monomial_initial(gb, key)
+        cone = groebner_cone(gb, key)
         self._cones.append((cone, verdict))
         self._points[key] = verdict
         return verdict

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tropgen import weights
 from tropgen.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -136,6 +137,15 @@ class TestFan:
         f.write_text("vars: 3\nx1*x2 + x2*x3 + x1*x3\n")
         code, _, err = run(capsys, "fan", "groebner", str(f))
         assert code == 5
+
+    def test_incomplete_fan_exit_1(self, capsys, tmp_path, monkeypatch):
+        # no flip can land in a cone whose closure holds the facet point
+        monkeypatch.setattr(weights, "member", lambda cone, w: False)
+        f = tmp_path / "line"
+        f.write_text("vars: 2\nx1 + x2\n")
+        code, out, err = run(capsys, "fan", "groebner", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: no Groebner cone found across")
 
 
 class TestLinear:

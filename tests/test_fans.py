@@ -4,6 +4,8 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgen.fans import (
     Cone,
@@ -17,11 +19,12 @@ from tropgen.fans import (
     member,
     permute_weight,
     relative_interior_contains,
-    relative_interior_point,
     same_cone,
     skeleton_membership,
     w_skeleton,
 )
+from tropgen.halfspaces import find_point
+from tropgen.linalg import QQ, primitive, primitive_signed, rref
 
 
 class TestBuildW:
@@ -87,7 +90,38 @@ class TestSkeleton:
                 member(c, w) for c in cones)
 
 
+@st.composite
+def cone_rows(draw):
+    n = draw(st.integers(1, 5))
+    row = st.tuples(*[st.integers(-4, 4)] * n)
+    return n, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=6))
+
+
+def rational_canonical_form(eqs, ineqs):
+    """make_cone's rows computed through the rational RREF: equalities are
+    the RREF rows made primitive, inequalities are reduced modulo them,
+    made primitive, deduplicated and sorted."""
+    reduced, pivots = rref(eqs)
+    ineq_rows = set()
+    for q in ineqs:
+        r = tuple(QQ(x) for x in q)
+        for erow, p in zip(reduced, pivots):
+            r = tuple(x - r[p] * y for x, y in zip(r, erow))
+        if any(r):
+            ineq_rows.add(primitive(r))
+    return (tuple(primitive_signed(r) for r in reduced),
+            tuple(sorted(ineq_rows)))
+
+
 class TestConeOps:
+    @given(cone_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_form_matches_rational_rref(self, case):
+        n, eqs, ineqs = case
+        cone = make_cone(n, eqs, ineqs)
+        assert ((cone.equalities, cone.inequalities)
+                == rational_canonical_form(eqs, ineqs))
+
     def test_same_cone_across_representations(self):
         c1 = make_cone(3, [(1, -1, 0)], [(1, 0, -1)])
         c2 = make_cone(3, [(2, -2, 0)], [(0, 1, -1), (3, 0, -3)])
@@ -114,7 +148,7 @@ class TestConeOps:
 
     def test_relative_interior(self):
         c = make_cone(3, [(1, -1, 0)], [(1, 0, -1)])
-        p = relative_interior_point(c)
+        p = find_point(3, equalities=c.equalities, strict=c.inequalities)
         assert relative_interior_contains(c, p)
         assert not relative_interior_contains(c, (0, 0, 0))
 

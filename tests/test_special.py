@@ -24,7 +24,7 @@ from tropgen.special import (
     pure_power_coefficients,
     right_block_nonzero,
 )
-from tropgen.weights import groebner_cone
+from tropgen.weights import groebner_cone, weight_gb
 
 
 def P(text, n):
@@ -189,7 +189,7 @@ class TestLinearCone:
             for _ in range(20):
                 w = tuple(rng.randint(-3, 3) for _ in range(n))
                 closed = linear_groebner_cone(rows, n, w)
-                engine = groebner_cone(ideal, w)
+                engine = groebner_cone(weight_gb(ideal, w), w)
                 assert same_cone(closed, engine), (r, n, w)
 
     def test_non_generic_rejected(self):

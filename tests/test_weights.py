@@ -4,17 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from tropgen.fans import cone_dim, member, relative_interior_point, same_cone
+from tropgen import weights
+from tropgen.fans import cone_dim, member, same_cone
+from tropgen.generic import normalized_grid
+from tropgen.halfspaces import find_point
 from tropgen.poly import Ideal, parse_polynomial
 from tropgen.weights import (
     BudgetExceededError,
+    IncompleteFanError,
     MembershipMap,
+    _flip,
     enumerate_groebner_fan,
     groebner_cone,
     in_tropical_variety,
     initial_form,
     initial_ideal_generators,
     normalize_grid_point,
+    weight_gb,
 )
 
 
@@ -94,30 +100,32 @@ class TestMembership:
 
 class TestGroebnerCone:
     def test_single_binomial_halfspace(self):
-        cone = groebner_cone(I(2, "x1 + x2"), (0, 1))
+        cone = groebner_cone(weight_gb(I(2, "x1 + x2"), (0, 1)), (0, 1))
         assert cone.equalities == ()
         assert cone.inequalities == ((1, -1),)
 
     def test_tie_gives_equality(self):
-        cone = groebner_cone(I(2, "x1 + x2"), (0, 0))
+        cone = groebner_cone(weight_gb(I(2, "x1 + x2"), (0, 0)), (0, 0))
         assert cone.equalities == ((1, -1),)
         assert cone.inequalities == ()
 
     def test_cone_contains_its_weight(self):
         for w in [(0, 1, 2), (0, 0, 0), (2, 1, 1), (-1, 3, 0)]:
-            cone = groebner_cone(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3"), w)
+            ideal = I(3, "x1*x3 - x2^2", "x1^2 - x2*x3")
+            cone = groebner_cone(weight_gb(ideal, w), w)
             assert member(cone, w)
 
     def test_contains_lineality_line(self):
-        cone = groebner_cone(I(3, "x1^2 + x2*x3"), (0, 1, 2))
+        w = (0, 1, 2)
+        cone = groebner_cone(weight_gb(I(3, "x1^2 + x2*x3"), w), w)
         assert member(cone, (1, 1, 1))
         assert member(cone, (-1, -1, -1))
 
     def test_interior_points_share_initial_ideal(self):
         ideal = I(3, "x1*x3 - x2^2", "x1^2 - x2*x3")
         w = (0, 1, 2)
-        cone = groebner_cone(ideal, w)
-        p = relative_interior_point(cone)
+        cone = groebner_cone(weight_gb(ideal, w), w)
+        p = find_point(3, equalities=cone.equalities, strict=cone.inequalities)
         assert (initial_ideal_generators(ideal, w)
                 == initial_ideal_generators(ideal, p))
 
@@ -139,6 +147,14 @@ class TestFanEnumeration:
         with pytest.raises(BudgetExceededError):
             enumerate_groebner_fan(ideal, budget=1)
 
+    def test_flip_that_stays_in_the_cone_raises(self):
+        ideal = I(2, "x1 + x2")
+        cone = enumerate_groebner_fan(ideal).cones[0]
+        row = cone.inequalities[0]
+        p = find_point(2, equalities=[row])
+        with pytest.raises(IncompleteFanError):
+            _flip(ideal, cone, tuple(-x for x in row), p)
+
     def test_interiors_are_disjoint(self):
         fan = enumerate_groebner_fan(I(3, "x1 + x2 + x3"))
         for w in [(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 1, 5)]:
@@ -153,7 +169,7 @@ class TestFanEnumeration:
         ideal = I(3, "x1 + x2 + x3")
         fan = enumerate_groebner_fan(ideal)
         for c in fan.cones:
-            p = relative_interior_point(c)
+            p = find_point(3, equalities=c.equalities, strict=c.inequalities)
             q = tuple(2 * x for x in p)
             assert in_tropical_variety(ideal, p) == in_tropical_variety(ideal, q)
 
@@ -187,3 +203,32 @@ class TestNormalization:
             normalize_grid_point(w)
         with pytest.raises(TypeError):
             MembershipMap(ideal).query(w)
+
+
+class TestWorkCounts:
+    """One weight Groebner basis per cache miss and per weight walked."""
+
+    TWISTED_CUBIC = ("x1*x3 - x2^2", "x1^2 - x2*x3")
+
+    @pytest.fixture
+    def weight_gb_calls(self, monkeypatch):
+        calls = []
+
+        def counting(ideal, w):
+            calls.append(w)
+            return weight_gb(ideal, w)
+
+        monkeypatch.setattr(weights, "weight_gb", counting)
+        return calls
+
+    def test_membership_map_one_basis_per_miss(self, weight_gb_calls):
+        mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
+        for w in normalized_grid(3, 2):
+            mm.query(w)
+        misses = len(mm._cones)
+        assert misses == 19
+        assert len(weight_gb_calls) == misses
+
+    def test_fan_walk_solves_each_weight_once(self, weight_gb_calls):
+        enumerate_groebner_fan(I(3, *self.TWISTED_CUBIC))
+        assert len(weight_gb_calls) <= 37
