@@ -5,8 +5,9 @@ appear); JSON output is the machine contract and is byte-identical across
 runs with the same input, seed and flags.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
-fan walk found no cone across a facet, 2 parse or usage error, 3 improper
-ideal (contains a unit), 4 persistent transform disagreement, 5 fan budget
+fan walk found no cone across a facet, 2 parse or usage error (a
+TROPGEN_BUDGET that is not an integer >= 1 is one), 3 improper ideal
+(contains a unit), 4 persistent transform disagreement, 5 fan budget
 exceeded.
 """
 
@@ -53,6 +54,7 @@ from .special import (
 from .verify import Corpus, VerifySession
 from .weights import (
     BudgetExceededError,
+    BudgetSettingError,
     IncompleteFanError,
     enumerate_groebner_fan,
     in_tropical_variety,
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         return COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, BudgetSettingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ImproperIdealError, NonGenericMatrixError) as exc:

@@ -18,11 +18,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Optional
 
 from .halfspaces import feasible
-from .linalg import kernel_basis_primitive, primitive, vec_dot
+from .linalg import (
+    clear_column,
+    echelon,
+    kernel_basis_primitive,
+    primitive,
+    vec_dot,
+)
 
 
 @dataclass(frozen=True)
@@ -35,51 +40,25 @@ class Cone:
     label: Optional[tuple] = None  # for W(n) cones: the sorted index set A
 
 
-def _eliminate(row, erow, c):
-    """Clear coordinate c of an integer row with erow (erow[c] > 0).
-
-    The row is scaled by a positive factor only, so its sign survives; the
-    result is primitive."""
-    b = row[c]
-    if not b:
-        return row
-    a = erow[c]
-    out = [a * x - b * y for x, y in zip(row, erow)]
-    g = gcd(*out) or 1
-    return tuple(x // g for x in out)
-
-
 def make_cone(n, equalities=(), inequalities=(), label=None) -> Cone:
     """Canonicalize the H-representation with integer arithmetic only.
 
-    Fraction-free Gauss-Jordan elimination turns the equalities into
-    primitive rows with positive pivots, which are the RREF rows scaled.
-    Inequalities are reduced modulo them (every pivot coordinate cleared),
-    made primitive, deduplicated and sorted; zero rows drop out.  Rational
-    input rows are scaled to primitive integer rows first.
+    Fraction-free Gauss-Jordan elimination (linalg.echelon) turns the
+    equalities into primitive rows with positive pivots, which are the RREF
+    rows scaled.  Inequalities are reduced modulo them (every pivot
+    coordinate cleared), made primitive, deduplicated and sorted; zero rows
+    drop out.  Rational input rows are scaled to primitive integer rows
+    first.
     """
-    work = [r for r in map(primitive, equalities) if any(r)]
-    eq_rows, pivots = [], []
-    for c in range(n):
-        i = next((i for i, r in enumerate(work) if r[c]), None)
-        if i is None:
-            continue
-        erow = work.pop(i)
-        if erow[c] < 0:
-            erow = tuple(-x for x in erow)
-        work = [r for r in (_eliminate(r, erow, c) for r in work) if any(r)]
-        eq_rows = [_eliminate(r, erow, c) for r in eq_rows]
-        eq_rows.append(erow)
-        pivots.append(c)
-
+    eq_rows, pivots = echelon(equalities, n)
     ineq_rows = set()
     for q in inequalities:
         q = primitive(q)
         for erow, c in zip(eq_rows, pivots):
-            q = _eliminate(q, erow, c)
+            q = clear_column(q, erow, c)
         if any(q):
             ineq_rows.add(q)
-    return Cone(n, tuple(eq_rows), tuple(sorted(ineq_rows)), label)
+    return Cone(n, eq_rows, tuple(sorted(ineq_rows)), label)
 
 
 def member(cone: Cone, w) -> bool:

@@ -1,111 +1,107 @@
 """Feasibility of small homogeneous halfspace systems via Fourier-Motzkin.
 
+A constraint is a primitive integer row q with a strict flag: q.z <= 0,
+or q.z < 0 when the flag is set.  Eliminating a variable combines every
+row p whose coefficient is a > 0 with every row q whose coefficient is
+-b < 0 into b*p + a*q, divided by the gcd of its entries; the result is
+strict when p or q is.  Rows are deduplicated on the row alone, the
+strict flag winning, so equal rows merge at every level.  The system is
+infeasible exactly when an all-zero strict row (0 < 0) appears.
+
+Equalities are removed first by projecting onto a primitive integer basis
+of their kernel.  Fractions appear only in the back-substitution that
+builds a witness, which is returned scaled to a primitive integer point
+(the systems are homogeneous, so positive scaling keeps it a solution).
 All cones in this project are tiny (ambient dimension <= 8, a few dozen
-constraint rows after deduplication), so exact Fourier-Motzkin elimination
-with a back-substitution witness is both simple and fast enough.  No
-floating point is ever involved.
+constraint rows), so exact elimination is both simple and fast enough.
+No floating point is ever involved.
 """
 
 from __future__ import annotations
 
-from .linalg import QQ, ZERO, ONE, nullspace, vec_dot
+from math import gcd
 
-# A constraint is (coeffs, rhs) meaning coeffs . z <= rhs.
+from .linalg import QQ, nullspace, primitive, vec_dot
 
 
-def _normalize(coeffs, rhs):
-    """Scale by a positive rational so constraints deduplicate."""
-    for c in coeffs:
-        if c != 0:
-            a = abs(c)
-            return (tuple(x / a for x in coeffs), rhs / a)
-    return (coeffs, rhs)
+def _add(system, row, strict) -> bool:
+    """Add a constraint to the {row: strict} system, made primitive.
+
+    Returns False when the row is the infeasible 0 < 0; 0 <= 0 is dropped."""
+    g = gcd(*row)
+    if not g:
+        return not strict
+    if g != 1:
+        row = tuple(x // g for x in row)
+    system[row] = strict or system.get(row, False)
+    return True
 
 
 def _eliminate(system, var):
-    """Project the constraint system onto coordinates < var."""
-    pos, neg, zero = [], [], []
-    for coeffs, rhs in system:
-        c = coeffs[var]
+    """Project the system onto the coordinates below var (its last one);
+    None when the projection is infeasible."""
+    pos, neg, out = [], [], {}
+    for row, strict in system.items():
+        c = row[var]
         if c > 0:
-            pos.append((coeffs, rhs))
+            pos.append((row, strict))
         elif c < 0:
-            neg.append((coeffs, rhs))
+            neg.append((row, strict))
         else:
-            zero.append((coeffs, rhs))
-    out = set(zero)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = pc[var], -nc[var]
-            coeffs = tuple(b * x + a * y for x, y in zip(pc, nc))
-            out.add(_normalize(coeffs, b * pr + a * nr))
-    return list(out)
+            out[row[:var]] = strict
+    for p, p_strict in pos:
+        a = p[var]
+        for q, q_strict in neg:
+            b = -q[var]
+            row = tuple(b * x + a * y for x, y in zip(p[:var], q))
+            if not _add(out, row, p_strict or q_strict):
+                return None
+    return out
 
 
 def find_point(n, equalities=(), nonstrict=(), strict=()):
-    """Exact rational point of the homogeneous system, or None.
+    """Primitive integer point of the homogeneous system, or None.
 
-    Solves  e.x = 0 for e in equalities,  q.x <= 0 for q in nonstrict,
-    q.x < 0 for q in strict.  Strict rows are encoded as q.x <= -1, which
-    is equivalent by homogeneity (positive scaling).
+    Solves  e.x = 0 for e in equalities,  q.x <= 0 for q in nonstrict and
+    q.x < 0 for q in strict, all rows integer vectors of length n.
     """
-    if equalities:
-        basis = nullspace(equalities, n)
-        if not basis:
-            # only the origin satisfies the equalities
-            return None if strict else tuple([ZERO] * n)
-    else:
-        basis = None
-    k = len(basis) if basis is not None else n
+    basis = nullspace(equalities, n)
+    k = len(basis)
+    system = {}
+    for rows, flag in ((nonstrict, False), (strict, True)):
+        for q in rows:
+            if not _add(system, tuple(vec_dot(q, b) for b in basis), flag):
+                return None
 
-    def project(row):
-        if basis is None:
-            return tuple(QQ(x) for x in row)
-        return tuple(vec_dot(row, b) for b in basis)
-
-    system = []
-    for row in nonstrict:
-        system.append(_normalize(project(row), ZERO))
-    for row in strict:
-        system.append(_normalize(project(row), QQ(-1)))
-
-    # Eliminate z_{k-1}, ..., z_0, remembering the system at each level.
+    # Eliminate z_{k-1}, ..., z_0, keeping the system at each level.
     levels = []
     for var in range(k - 1, -1, -1):
-        levels.append((var, system))
+        levels.append(system)
         system = _eliminate(system, var)
-    for coeffs, rhs in system:
-        if rhs < 0:
+        if system is None:
             return None
 
-    z = [ZERO] * k
-    for var, sys_at_level in reversed(levels):
-        lo, hi = None, None
-        for coeffs, rhs in sys_at_level:
-            c = coeffs[var]
-            if c == 0:
+    z = []
+    for system in reversed(levels):
+        var = len(z)
+        lo = hi = None
+        for row in system:
+            c = row[var]
+            if not c:
                 continue
-            rest = sum((coeffs[j] * z[j] for j in range(var)), ZERO)
-            bound = (rhs - rest) / c
+            bound = QQ(-vec_dot(row, z), c)
             if c > 0:
                 hi = bound if hi is None else min(hi, bound)
             else:
                 lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None:
-            z[var] = (lo + hi) / 2
-        elif hi is not None:
-            z[var] = hi - ONE
-        elif lo is not None:
-            z[var] = lo + ONE
-        # else unconstrained: leave 0
-
-    if basis is None:
-        return tuple(z)
-    point = [ZERO] * n
-    for zi, b in zip(z, basis):
-        for j in range(n):
-            point[j] += zi * b[j]
-    return tuple(point)
+        if lo is None:
+            z.append(0 if hi is None else hi - 1)
+        elif hi is None:
+            z.append(lo + 1)
+        else:
+            z.append((lo + hi) / 2)
+    return primitive([sum(zi * b[j] for zi, b in zip(z, basis))
+                      for j in range(n)])
 
 
 def feasible(n, equalities=(), nonstrict=(), strict=()):

@@ -64,21 +64,6 @@ def rank(rows):
     return len(rref(rows)[0])
 
 
-def nullspace(rows, n):
-    """Basis of {x : rows @ x = 0} as a tuple of QQ vectors."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
 def det(matrix):
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     n = len(matrix)
@@ -132,6 +117,59 @@ def primitive_signed(vec):
         if x != 0:
             return p if x > 0 else tuple(-y for y in p)
     return p
+
+
+def clear_column(row, erow, c):
+    """Clear coordinate c of an integer row with erow (erow[c] > 0).
+
+    The row is scaled by a positive factor only, so its sign survives; the
+    result is primitive."""
+    b = row[c]
+    if not b:
+        return row
+    a = erow[c]
+    out = [a * x - b * y for x, y in zip(row, erow)]
+    g = gcd(*out) or 1
+    return tuple(x // g for x in out)
+
+
+def echelon(rows, n):
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Returns (rows, pivots): primitive integer rows with positive pivots and
+    every other pivot coordinate cleared, which are the nonzero RREF rows
+    scaled, and their pivot columns in increasing order."""
+    work = [r for r in map(primitive, rows) if any(r)]
+    out, pivots = [], []
+    for c in range(n):
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
+            continue
+        erow = work.pop(i)
+        if erow[c] < 0:
+            erow = tuple(-x for x in erow)
+        work = [r for r in (clear_column(r, erow, c) for r in work) if any(r)]
+        out = [clear_column(r, erow, c) for r in out]
+        out.append(erow)
+        pivots.append(c)
+    return tuple(out), tuple(pivots)
+
+
+def nullspace(rows, n):
+    """Primitive integer basis of {x : rows . x = 0}, one vector per free
+    column of echelon(rows, n): the rational basis with a 1 at its free
+    column, scaled."""
+    rows, pivots = echelon(rows, n)
+    scale = lcm(*(r[c] for r, c in zip(rows, pivots)))
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = scale
+        for r, c in zip(rows, pivots):
+            v[c] = -r[f] * (scale // r[c])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return tuple(basis)
 
 
 def kernel_basis_primitive(rows, n):

@@ -14,6 +14,7 @@ Groebner cones, so membership is constant on each of them.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from math import gcd
 
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
@@ -27,9 +28,23 @@ class BudgetExceededError(RuntimeError):
     """Groebner fan traversal hit its cone budget."""
 
 
+class BudgetSettingError(ValueError):
+    """TROPGEN_BUDGET is set to something other than an integer >= 1."""
+
+
 def fan_budget(default: int = 200) -> int:
+    """The cone budget of a fan walk: TROPGEN_BUDGET if set, else default."""
     raw = os.environ.get("TROPGEN_BUDGET")
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise BudgetSettingError(
+            f"TROPGEN_BUDGET must be an integer >= 1, not {raw!r}")
+    return budget
 
 
 def initial_form(p: Polynomial, w) -> Polynomial:
@@ -101,39 +116,63 @@ def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
     Starting from a cone containing a fixed generic weight, each facet
     (inequality row tight, all others strict) yields an interior facet
     point p; stepping to p + eps * row for small rational eps > 0 lands in
-    the relative interior of the neighbouring cone.  The traversal stops
+    the relative interior of the neighbouring cone.  A facet is flipped
+    only when no cone found so far, other than the current one, contains
+    p: the Groebner fan of a graded ideal is complete, so a point in the
+    relative interior of a facet lies in exactly two maximal cones, and a
+    found cone containing p is already the neighbour.  The traversal stops
     with BudgetExceededError when more than `budget` cones appear, and
     with IncompleteFanError when a flip fails.
     """
     n = ideal.n
     if budget is None:
         budget = fan_budget()
-    cones = {}  # insertion-ordered set
-    stack = [_generic_start(ideal)]
+    start = _generic_start(ideal)
+    found = {start: None}  # insertion-ordered set: walked or on the stack
+    stack = [start]
     while stack:
         cone = stack.pop()
-        if cone in cones:
-            continue
-        cones[cone] = None
-        if len(cones) > budget:
-            raise BudgetExceededError(
-                f"more than {budget} full-dimensional Groebner cones")
         for row in cone.inequalities:
             others = [q for q in cone.inequalities if q != row]
             p = find_point(n, equalities=[row], strict=others)
             if p is None:
                 continue  # not a facet: row is redundant
-            stack.append(_flip(ideal, cone, row, p))
-    return Fan(n, tuple(cones))
+            if any(member(c, p) for c in found if c is not cone):
+                continue
+            other = _flip(ideal, cone, row, p)
+            found[other] = None
+            if len(found) > budget:
+                raise BudgetExceededError(
+                    f"more than {budget} full-dimensional Groebner cones")
+            stack.append(other)
+    # the cones of a fan share most of their rows: keep one copy of each
+    rows = {}
+    return Fan(n, tuple(
+        replace(c, inequalities=tuple(rows.setdefault(q, q)
+                                      for q in c.inequalities))
+        for c in found))
+
+
+def _primes(count):
+    """The first count primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def _generic_start(ideal: Ideal) -> Cone:
     """Full-dimensional Groebner cone at a deterministic weight.
 
-    A Groebner cone without equalities is full-dimensional: its weight
-    satisfies every inequality row strictly (see groebner_cone)."""
+    The weights are (p_s / 1, ..., p_{s+n-1} / n) over windows of
+    consecutive primes, the first at 2.  A Groebner cone without
+    equalities is full-dimensional: its weight satisfies every inequality
+    row strictly (see groebner_cone)."""
     n = ideal.n
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    primes = _primes(max(12, 2 * n))
     for shift in range(len(primes) - n + 1):
         w = tuple(QQ(p, q) for p, q in
                   zip(primes[shift:shift + n], range(1, n + 1)))

@@ -138,6 +138,23 @@ class TestFan:
         code, _, err = run(capsys, "fan", "groebner", str(f))
         assert code == 5
 
+    def test_groebner_fan_past_twelve_variables(self, capsys, tmp_path):
+        # start weights are built from the first 2n primes when n > 12
+        f = tmp_path / "hyperplane"
+        f.write_text("vars: 13\n" + " + ".join(f"x{i}" for i in range(1, 14))
+                     + "\n")
+        code, out, _ = run(capsys, "fan", "groebner", str(f))
+        assert code == 0 and "13 cones" in out
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0"])
+    def test_invalid_budget_exit_2(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("TROPGEN_BUDGET", value)
+        f = tmp_path / "line"
+        f.write_text("vars: 2\nx1 + x2\n")
+        code, out, err = run(capsys, "fan", "groebner", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: TROPGEN_BUDGET must be an integer >= 1")
+
     def test_incomplete_fan_exit_1(self, capsys, tmp_path, monkeypatch):
         # no flip can land in a cone whose closure holds the facet point
         monkeypatch.setattr(weights, "member", lambda cone, w: False)
