@@ -128,13 +128,12 @@ class GenericityReport:
 
 def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                            trials: int = 3, bound: int = 50,
-                           seed: int = 1,
-                           max_escalations: int = 3) -> GenericityReport:
+                           seed: int = 1) -> GenericityReport:
     """Membership of the generic tropical variety on the normalized grid.
 
     Runs `trials` independent random transforms and compares the resulting
     membership maps; on disagreement doubles the bound and retries, up to
-    max_escalations times, then raises DisagreementError.
+    three times, then raises DisagreementError.
     """
     n = ideal.n
     points = normalized_grid(n, grid_radius)
@@ -142,7 +141,7 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                               bound=bound, grid_radius=grid_radius,
                               grid=tuple(points))
     current = bound
-    for escalation in range(max_escalations + 1):
+    for escalation in range(4):
         report.escalations.append(current)
         maps = []
         transforms = []
@@ -189,8 +188,9 @@ def check_symmetry(report: GenericityReport):
     return (True, None)
 
 
-def check_lineality(report: GenericityReport, shifts=range(-2, 3)):
-    """Shifting a grid point by c*(1,..,1) never changes its verdict.
+def check_lineality(report: GenericityReport):
+    """Shifting a grid point by c*(1,..,1), -2 <= c <= 2, never changes its
+    verdict.
 
     The stored map is keyed on normalized points, for which this holds by
     construction; this re-derives each shifted verdict from scratch on the
@@ -202,7 +202,7 @@ def check_lineality(report: GenericityReport, shifts=range(-2, 3)):
     J = transform_ideal(report.ideal, report.transforms[0])
     sample = list(report.membership.items())[::max(1, len(report.membership) // 8)]
     for w, verdict in sample:
-        for c in shifts:
+        for c in range(-2, 3):
             shifted = tuple(x + c for x in w)
             if in_tropical_variety(J, shifted) != verdict:
                 return (False, (w, c))

@@ -183,22 +183,23 @@ def minimal_monomial_generators(exponents) -> tuple:
 
 def monomial_ideal_dimension(n: int, generators) -> int:
     """Krull dimension of R/(monomial ideal): the largest coordinate
-    subspace {x_i : i in S} meeting the variety, i.e. the largest S such
-    that every generator involves a variable outside S."""
-    if n > 16:
-        raise ValueError("brute-force dimension capped at 16 variables")
+    subspace {x_i : i in S} meeting the variety, i.e. n minus the fewest
+    variables that meet every generator support."""
     gens = minimal_monomial_generators(generators)
     if any(e == (0,) * n for e in gens):
         raise ImproperIdealError("ideal is the whole ring")
-    var_sets = [frozenset(i for i, k in enumerate(e) if k > 0) for e in gens]
-    best = 0
-    for mask in range(1 << n):
-        s = {i for i in range(n) if mask >> i & 1}
-        if len(s) <= best:
-            continue
-        if all(vs - s for vs in var_sets):
-            best = len(s)
-    return best
+    supports = [frozenset(i for i, k in enumerate(e) if k > 0) for e in gens]
+    return n - _fewest_meeting_variables(supports)
+
+
+def _fewest_meeting_variables(supports) -> int:
+    """Size of a smallest variable set meeting every support: one of the
+    variables of the smallest support is in it, so branch on those."""
+    if not supports:
+        return 0
+    smallest = min(supports, key=len)
+    return 1 + min(_fewest_meeting_variables([s for s in supports if i not in s])
+                   for i in sorted(smallest))
 
 
 def krull_dimension(ideal: Ideal) -> int:

@@ -7,18 +7,20 @@ is exact.
 
 Term orders compare monomials by a "preference" key; the most preferred
 monomial of a polynomial is its head (the marked term of a Groebner basis
-element).  For weight-refined orders the key is (total degree, -weight,
-lex), so on homogeneous input the head is the term of minimal weight, ties
-broken towards x1.  This matches the convention of taking initial forms of
-minimal weight, and the degree-first component keeps the comparison a
-genuine global term order (1 is the least monomial), so Buchberger's
-algorithm terminates on inhomogeneous input as well.
+element).  For weight-refined orders the key is (total degree, -weights,
+lex), so on homogeneous input the head is the term of minimal weight under
+the first weight, ties going to the next weight and then towards x1.  This
+matches the convention of taking initial forms of minimal weight, and the
+degree-first component keeps the comparison a genuine global term order (1
+is the least monomial), so Buchberger's algorithm terminates on
+inhomogeneous input as well.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 from .linalg import QQ, ZERO, ONE, primitive
@@ -75,22 +77,22 @@ LT, EQ, GT = -1, 0, 1
 class TermOrder:
     """Total order on monomials used for marking Groebner basis heads.
 
-    kind is "lex", "grlex" or "weight".  A weight order refines the partial
-    order of a weight vector: heads have minimal weight (ties broken by
-    lex), and total degree is compared first so the order is global even
-    for negative weights.
+    kind is "lex", "grlex" or "weight".  A weight order refines a list of
+    weight vectors in turn: heads have minimal weight under the first,
+    ties go to the next weight and remaining ties to lex; total degree is
+    compared first so the order is global even for negative weights.
     """
 
     kind: str
-    weight: Optional[tuple] = None
+    weights: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("lex", "grlex", "weight"):
             raise ValueError(f"unknown term order kind {self.kind!r}")
-        if (self.kind == "weight") != (self.weight is not None):
-            raise ValueError("weight vector present iff kind == 'weight'")
-        if self.weight is not None:
-            object.__setattr__(self, "weight", primitive(self.weight))
+        if (self.kind == "weight") != bool(self.weights):
+            raise ValueError("weight vectors present iff kind == 'weight'")
+        object.__setattr__(self, "weights",
+                           tuple(primitive(w) for w in self.weights))
 
     def key(self, exp):
         """Preference key; the head of a polynomial maximizes it."""
@@ -98,16 +100,19 @@ class TermOrder:
             return exp
         if self.kind == "grlex":
             return (sum(exp), exp)
-        w = self.weight
-        return (sum(exp), -sum(wi * e for wi, e in zip(w, exp)), exp)
+        return (sum(exp), tuple([-sum(map(mul, w, exp)) for w in self.weights]),
+                exp)
 
 
 GRLEX = TermOrder("grlex")
 LEX = TermOrder("lex")
 
 
-def weight_order(w) -> TermOrder:
-    return TermOrder("weight", weight=tuple(w))
+def weight_order(*weights) -> TermOrder:
+    """The order refining the weights in turn, then lex: on monomials of
+    one degree it is the order of w1 + eps*w2 + eps^2*w3 + ... for every
+    small enough eps > 0 (ties broken by lex)."""
+    return TermOrder("weight", weights=weights)
 
 
 def compare_monomials(a, b, order: TermOrder) -> int:
@@ -393,6 +398,8 @@ def parse_ideal_file(text: str) -> Ideal:
         p = parse_polynomial(line, n)
         if p.is_zero:
             raise ParseError(f"line {lineno}: generator is the zero polynomial", 0)
+        if not p.is_homogeneous:
+            raise ParseError(f"line {lineno}: generator is not homogeneous", 0)
         gens.append(p)
     if n is None:
         raise ParseError("missing 'vars: n' header", 0)

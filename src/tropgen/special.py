@@ -113,8 +113,7 @@ class PrincipalReport:
 
 
 def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
-                            bound: int = 50, radius: int = 2,
-                            check_fan: bool = True) -> PrincipalReport:
+                            bound: int = 50, radius: int = 2) -> PrincipalReport:
     """Per random full-support transform g: all pure-power coefficients of
     g(f) are nonzero, the grid membership of T(g(f)) equals the
     (n-1)-skeleton of W(n), and (once, n <= 4) the Groebner fan of g(f) is
@@ -136,7 +135,7 @@ def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
             if got != want:
                 report.grid_equal_skeleton = False
                 report.mismatches.append(("grid", trial, w, got, want))
-        if check_fan and trial == 0 and n <= 4:
+        if trial == 0 and n <= 4:
             ok, detail = _fan_equals_W(Ideal.of(n, (gf,)))
             if not ok:
                 report.fan_equals_W = False

@@ -20,7 +20,7 @@ from math import gcd
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
 from .groebner import MarkedGB, contains_monomial, reduced_gb
 from .halfspaces import find_point
-from .linalg import QQ, primitive, vec_dot
+from .linalg import vec_dot
 from .poly import Ideal, Polynomial, weight_order
 
 
@@ -32,11 +32,11 @@ class BudgetSettingError(ValueError):
     """TROPGEN_BUDGET is set to something other than an integer >= 1."""
 
 
-def fan_budget(default: int = 200) -> int:
-    """The cone budget of a fan walk: TROPGEN_BUDGET if set, else default."""
+def fan_budget() -> int:
+    """The cone budget of a fan walk: TROPGEN_BUDGET if set, else 200."""
     raw = os.environ.get("TROPGEN_BUDGET")
     if not raw:
-        return default
+        return 200
     try:
         budget = int(raw)
     except ValueError:
@@ -56,10 +56,11 @@ def initial_form(p: Polynomial, w) -> Polynomial:
     return Polynomial(p.n, tuple(t for t, wt in zip(p.terms, weights) if wt == lo))
 
 
-def weight_gb(ideal: Ideal, w) -> MarkedGB:
-    """Reduced Groebner basis for the w-refined order; on graded ideals the
-    marked head of each element is its minimal-weight term (lex-max tie)."""
-    return reduced_gb(ideal, weight_order(primitive(w)))
+def weight_gb(ideal: Ideal, *weights) -> MarkedGB:
+    """Reduced Groebner basis for the order refining the weights in turn;
+    on graded ideals the marked head of each element is its minimal-weight
+    term under the first weight, ties going to the next (lex-max last)."""
+    return reduced_gb(ideal, weight_order(*weights))
 
 
 def initial_ideal_generators(ideal: Ideal, w) -> tuple:
@@ -82,14 +83,15 @@ def _no_monomial_initial(gb: MarkedGB, w) -> bool:
     return not contains_monomial(gens, gb.n)
 
 
-def groebner_cone(gb: MarkedGB, w) -> Cone:
+def groebner_cone(gb: MarkedGB, *weights) -> Cone:
     """Closure of the set of weights with the marked basis gb, which is
-    the w-refined basis weight_gb(ideal, w).
+    the refined basis weight_gb(ideal, *weights).
 
     Rows are head_exponent - other_exponent per Groebner basis element and
     term: nonpositive on the cone (heads have minimal weight).  Rows tied
-    at w itself (zero weight difference) are equalities of the cone, and w
-    witnesses that every remaining row can be strictly negative, so the
+    under every weight are equalities of the cone.  Every other row is
+    strictly negative at w1 + eps*w2 + ... for small eps > 0, which
+    witnesses that all of them can be strict at once, so the
     representation needs no further tightness analysis.
     """
     eqs, ineqs = set(), set()
@@ -98,7 +100,7 @@ def groebner_cone(gb: MarkedGB, w) -> Cone:
             if e == h:
                 continue
             row = tuple(hi - ei for hi, ei in zip(h, e))
-            if vec_dot(w, row) == 0:
+            if not any(vec_dot(w, row) for w in weights):
                 eqs.add(row)
             else:
                 ineqs.add(row)
@@ -110,23 +112,22 @@ class IncompleteFanError(RuntimeError):
     incomplete."""
 
 
-def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
+def enumerate_groebner_fan(ideal: Ideal) -> Fan:
     """All full-dimensional Groebner cones, by depth-first facet flipping.
 
-    Starting from a cone containing a fixed generic weight, each facet
-    (inequality row tight, all others strict) yields an interior facet
-    point p; stepping to p + eps * row for small rational eps > 0 lands in
-    the relative interior of the neighbouring cone.  A facet is flipped
+    Starting from the cone of a fixed term order, each facet (inequality
+    row tight, all others strict) yields an interior facet point p; the
+    neighbouring cone is the cone of the order refining p by the row (see
+    _flip), so each cone costs one Groebner basis.  A facet is flipped
     only when no cone found so far, other than the current one, contains
     p: the Groebner fan of a graded ideal is complete, so a point in the
     relative interior of a facet lies in exactly two maximal cones, and a
     found cone containing p is already the neighbour.  The traversal stops
-    with BudgetExceededError when more than `budget` cones appear, and
+    with BudgetExceededError when more than fan_budget() cones appear, and
     with IncompleteFanError when a flip fails.
     """
     n = ideal.n
-    if budget is None:
-        budget = fan_budget()
+    budget = fan_budget()
     start = _generic_start(ideal)
     found = {start: None}  # insertion-ordered set: walked or on the stack
     stack = [start]
@@ -153,47 +154,30 @@ def enumerate_groebner_fan(ideal: Ideal, budget=None) -> Fan:
         for c in found))
 
 
-def _primes(count):
-    """The first count primes, by trial division."""
-    primes = []
-    k = 2
-    while len(primes) < count:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    return primes
-
-
 def _generic_start(ideal: Ideal) -> Cone:
-    """Full-dimensional Groebner cone at a deterministic weight.
+    """The Groebner cone of the order refining the unit weights e1, ...,
+    en in turn: heads have the fewest x1, then the fewest x2, and so on.
 
-    The weights are (p_s / 1, ..., p_{s+n-1} / n) over windows of
-    consecutive primes, the first at 2.  A Groebner cone without
-    equalities is full-dimensional: its weight satisfies every inequality
-    row strictly (see groebner_cone)."""
-    n = ideal.n
-    primes = _primes(max(12, 2 * n))
-    for shift in range(len(primes) - n + 1):
-        w = tuple(QQ(p, q) for p, q in
-                  zip(primes[shift:shift + n], range(1, n + 1)))
-        cone = groebner_cone(weight_gb(ideal, w), w)
-        if not cone.equalities:
-            return cone
-    raise RuntimeError("could not find a generic start weight")
+    No nonzero row is orthogonal to every unit weight, so the cone has no
+    equalities and is full-dimensional (see groebner_cone)."""
+    units = [tuple(int(i == j) for j in range(ideal.n))
+             for i in range(ideal.n)]
+    return groebner_cone(weight_gb(ideal, *units), *units)
 
 
 def _flip(ideal: Ideal, cone: Cone, row, p) -> Cone:
     """The full-dimensional cone across the facet {row . x = 0} of cone,
-    whose closure holds the facet point p."""
-    eps = QQ(1)
-    for _ in range(64):
-        w = tuple(pi + eps * ri for pi, ri in zip(p, row))
-        other = groebner_cone(weight_gb(ideal, w), w)
-        if not other.equalities and other != cone and member(other, p):
-            return other
-        eps /= 2
-    raise IncompleteFanError(
-        f"no Groebner cone found across the facet with row {row}")
+    whose closure holds the facet point p.
+
+    It is the cone of the order refining p by the facet's outer normal
+    row, which is the order of p + eps*row for every small enough eps > 0
+    (Fukuda, Jensen and Thomas, "Computing Groebner fans", 2007), so one
+    Groebner basis finds it."""
+    other = groebner_cone(weight_gb(ideal, p, row), p, row)
+    if other == cone or not member(other, p):
+        raise IncompleteFanError(
+            f"no Groebner cone found across the facet with row {row}")
+    return other
 
 
 # ---------------------------------------------------------------------------

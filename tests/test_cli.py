@@ -39,6 +39,22 @@ class TestDim:
         code, _, err = run(capsys, "dim", str(bad))
         assert code == 2 and "error" in err
 
+    def test_non_homogeneous_generator_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad"
+        bad.write_text("vars: 2\nx1^2 + x2\n")
+        code, out, err = run(capsys, "dim", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: generator is not homogeneous")
+
+    def test_past_sixteen_variables(self, capsys, tmp_path):
+        # x1*x2, x2*x3, ..., x16*x17: the fewest variables meeting every
+        # edge of a path on 17 vertices are x2, x4, ..., x16
+        f = tmp_path / "path"
+        f.write_text("vars: 17\n" + "\n".join(f"x{i}*x{i + 1}"
+                                                for i in range(1, 17)) + "\n")
+        code, out, _ = run(capsys, "dim", str(f))
+        assert code == 0 and "dim = 9" in out
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "dim", "/nonexistent/ideal")
         assert code == 2
@@ -139,7 +155,7 @@ class TestFan:
         assert code == 5
 
     def test_groebner_fan_past_twelve_variables(self, capsys, tmp_path):
-        # start weights are built from the first 2n primes when n > 12
+        # the start cone refines the unit weights, so it exists for any n
         f = tmp_path / "hyperplane"
         f.write_text("vars: 13\n" + " + ".join(f"x{i}" for i in range(1, 14))
                      + "\n")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgen.linalg import QQ
 from tropgen.groebner import (
@@ -33,6 +35,26 @@ def P(text, n):
 
 def I(n, *texts):
     return Ideal.of(n, tuple(P(t, n) for t in texts))
+
+
+def mask_dimension(n, generators):
+    """Reference: the largest S, over all 2^n subsets, such that every
+    generator involves a variable outside S."""
+    var_sets = [frozenset(i for i, k in enumerate(e) if k > 0)
+                for e in generators]
+    best = 0
+    for mask in range(1 << n):
+        s = {i for i in range(n) if mask >> i & 1}
+        if len(s) > best and all(vs - s for vs in var_sets):
+            best = len(s)
+    return best
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 8))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    return n, draw(st.lists(exps, min_size=1, max_size=8))
 
 
 class TestNormalForm:
@@ -111,6 +133,12 @@ class TestDimension:
         assert monomial_ideal_dimension(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == 1
         assert monomial_ideal_dimension(2, [(1, 0), (0, 1)]) == 0
         assert monomial_ideal_dimension(2, [(1, 1)]) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_ideals())
+    def test_monomial_dimension_matches_mask_loop(self, case):
+        n, gens = case
+        assert monomial_ideal_dimension(n, gens) == mask_dimension(n, gens)
 
     def test_minimal_generators(self):
         assert minimal_monomial_generators([(2, 0), (1, 0), (1, 1)]) == ((1, 0),)

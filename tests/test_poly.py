@@ -147,6 +147,24 @@ class TestTermOrders:
                 assert (compare_monomials(a, b, base)
                         == compare_monomials(a, b, shifted))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_refined_order_is_a_perturbed_weight(self, data):
+        # every u.(a - b) != 0 has size at least 1, and |v.(a - b)| is at
+        # most 2*d*max|v|, so a larger K lets u decide wherever it can
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(0, 4))
+        vec = st.tuples(*[st.integers(-5, 5)] * n)
+        u, v = data.draw(vec), data.draw(vec)
+        # a monomial of degree d, drawn as the list of its d variables
+        factors = st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+        a, b = [tuple(map(data.draw(factors).count, range(n)))
+                for _ in range(2)]
+        K = 2 * d * max(map(abs, v)) + data.draw(st.integers(1, 3))
+        perturbed = tuple(K * ui + vi for ui, vi in zip(u, v))
+        assert (compare_monomials(a, b, weight_order(u, v))
+                == compare_monomials(a, b, weight_order(perturbed)))
+
     def test_one_is_least(self):
         for order in (GRLEX, weight_order((0, 1))):
             for e in self.exhaustive_monomials(2, 3):

@@ -1,6 +1,7 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from tropgen import weights
 from tropgen.fans import cone_dim, member, same_cone
 from tropgen.generic import normalized_grid
 from tropgen.halfspaces import find_point
-from tropgen.poly import Ideal, parse_polynomial
+from tropgen.poly import Ideal, parse_ideal_file, parse_polynomial
 from tropgen.weights import (
     BudgetExceededError,
     IncompleteFanError,
@@ -30,6 +31,24 @@ def P(text, n):
 
 def I(n, *texts):
     return Ideal.of(n, tuple(P(t, n) for t in texts))
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_IDEALS = sorted(p.name for p in CORPUS.iterdir() if not p.suffix)
+
+
+def halving_flip(ideal, cone, row, p):
+    """Reference search for the cone across a facet: the Groebner cone at
+    p + eps*row for eps = 1, 1/2, 1/4, ... until it is full-dimensional,
+    differs from cone and holds p."""
+    eps = Fraction(1)
+    for _ in range(64):
+        w = tuple(pi + eps * ri for pi, ri in zip(p, row))
+        other = groebner_cone(weight_gb(ideal, w), w)
+        if not other.equalities and other != cone and member(other, p):
+            return other
+        eps /= 2
+    raise AssertionError(f"no cone found across the facet with row {row}")
 
 
 class TestInitialForm:
@@ -142,10 +161,11 @@ class TestFanEnumeration:
         assert len(fan.cones) == 1
         assert cone_dim(fan.cones[0]) == 2
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("TROPGEN_BUDGET", "1")
         ideal = I(3, "x1*x2 + x2*x3 + x1*x3")
         with pytest.raises(BudgetExceededError):
-            enumerate_groebner_fan(ideal, budget=1)
+            enumerate_groebner_fan(ideal)
 
     def test_flip_that_stays_in_the_cone_raises(self):
         ideal = I(2, "x1 + x2")
@@ -154,6 +174,18 @@ class TestFanEnumeration:
         p = find_point(2, equalities=[row])
         with pytest.raises(IncompleteFanError):
             _flip(ideal, cone, tuple(-x for x in row), p)
+
+    @pytest.mark.parametrize("name", CORPUS_IDEALS)
+    def test_flip_matches_halving_search(self, name):
+        ideal = parse_ideal_file((CORPUS / name).read_text())
+        assert ideal.n <= 4
+        for cone in enumerate_groebner_fan(ideal).cones:
+            for row in cone.inequalities:
+                others = [q for q in cone.inequalities if q != row]
+                p = find_point(ideal.n, equalities=[row], strict=others)
+                if p is not None:
+                    assert (_flip(ideal, cone, row, p)
+                            == halving_flip(ideal, cone, row, p))
 
     def test_interiors_are_disjoint(self):
         fan = enumerate_groebner_fan(I(3, "x1 + x2 + x3"))
@@ -214,9 +246,9 @@ class TestWorkCounts:
     def weight_gb_calls(self, monkeypatch):
         calls = []
 
-        def counting(ideal, w):
-            calls.append(w)
-            return weight_gb(ideal, w)
+        def counting(ideal, *weights):
+            calls.append(weights)
+            return weight_gb(ideal, *weights)
 
         monkeypatch.setattr(weights, "weight_gb", counting)
         return calls
@@ -230,7 +262,8 @@ class TestWorkCounts:
         assert len(weight_gb_calls) == misses
 
     def test_fan_walk_solves_each_weight_once(self, weight_gb_calls):
-        # 8 flips, one per interior facet, with their eps halvings; flipping
-        # every facet from both sides makes 49
-        enumerate_groebner_fan(I(3, *self.TWISTED_CUBIC))
-        assert len(weight_gb_calls) <= 23
+        # one basis for the start cone and one per flip, each flip across
+        # an interior facet not yet crossed: one basis per cone
+        fan = enumerate_groebner_fan(I(3, *self.TWISTED_CUBIC))
+        assert len(fan.cones) == 9
+        assert len(weight_gb_calls) == len(fan.cones)
