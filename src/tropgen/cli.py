@@ -6,7 +6,8 @@ runs with the same input, seed and flags.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
-TROPGEN_BUDGET that is not an integer >= 1 is one), 3 improper ideal
+TROPGEN_BUDGET that is not an integer >= 1 is one, and so are --grid
+below 0 and --trials or --bound below 1), 3 improper ideal
 (contains a unit), 4 persistent transform disagreement, 5 fan budget
 exceeded.
 """
@@ -359,6 +360,12 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    # an empty grid or no trials would pass every check on nothing
+    for key, low in (("grid", 0), ("trials", 1), ("bound", 1)):
+        if getattr(args, key) < low:
+            print(f"error: --{key} must be >= {low}, not {getattr(args, key)}",
+                  file=sys.stderr)
+            return EXIT_PARSE
     try:
         return COMMANDS[args.command](args)
     except (ParseError, BudgetSettingError) as exc:

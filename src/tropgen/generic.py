@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations, product
 
 from .fans import permute_weight, skeleton_membership
@@ -88,10 +89,14 @@ def trial_seed(seed: int, trial: int, escalation: int = 0) -> int:
     return seed * 1_000_003 + trial + escalation * 101
 
 
-def normalized_grid(n: int, radius: int):
-    """Sorted normalized representatives of the grid [-radius, radius]^n."""
-    return sorted({normalize_grid_point(w)
-                   for w in product(range(-radius, radius + 1), repeat=n)})
+@cache
+def normalized_grid(n: int, radius: int) -> tuple:
+    """Sorted normalized representatives of the grid [-radius, radius]^n,
+    computed once per (n, radius), so reports over one grid share their
+    keys."""
+    return tuple(sorted({normalize_grid_point(w)
+                         for w in product(range(-radius, radius + 1),
+                                          repeat=n)}))
 
 
 @dataclass
@@ -133,13 +138,18 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
 
     Runs `trials` independent random transforms and compares the resulting
     membership maps; on disagreement doubles the bound and retries, up to
-    three times, then raises DisagreementError.
+    three times, then raises DisagreementError.  A negative grid radius
+    or fewer than one trial or a bound below one raises ValueError: an
+    empty grid or no trials would pass every check on nothing.
     """
+    if grid_radius < 0 or trials < 1 or bound < 1:
+        raise ValueError(f"need grid_radius >= 0, trials >= 1 and bound >= 1, "
+                         f"not {grid_radius}, {trials} and {bound}")
     n = ideal.n
     points = normalized_grid(n, grid_radius)
     report = GenericityReport(ideal=ideal, seed=seed, trials=trials,
                               bound=bound, grid_radius=grid_radius,
-                              grid=tuple(points))
+                              grid=points)
     current = bound
     for escalation in range(4):
         report.escalations.append(current)
@@ -207,12 +217,6 @@ def check_lineality(report: GenericityReport):
             if in_tropical_variety(J, shifted) != verdict:
                 return (False, (w, c))
     return (True, None)
-
-
-def raw_membership_map(ideal: Ideal, radius: int):
-    """Non-generic membership map of T(I) itself on the normalized grid."""
-    mm = MembershipMap(ideal)
-    return {w: mm.query(w) for w in normalized_grid(ideal.n, radius)}
 
 
 def gb_support_stability(ideal: Ideal, order: TermOrder = GRLEX,

@@ -196,26 +196,49 @@ def normalize_grid_point(w):
 
 class MembershipMap:
     """Lazy tropical membership over integer weights, cached per normalized
-    weight and per relatively open Groebner cone (membership is constant
-    there).  Rational weights raise TypeError (see normalize_grid_point);
-    use in_tropical_variety for them."""
+    weight, per relatively open Groebner cone (membership is constant
+    there) and per marked reduced basis, so at most one Buchberger run per
+    maximal Groebner cone.  Rational weights raise TypeError (see
+    normalize_grid_point); use in_tropical_variety for them.
+
+    A stored basis G, reduced for an order <', is reused at a weight whose
+    refined order < marks the same head on every element: the heads then
+    generate in_<'(I), which lies in in_<(I), and two initial ideals of I
+    with one inside the other are equal (their standard monomials are both
+    bases of R/I), so G is the reduced basis for < (Mora and Robbiano,
+    1988; Sturmfels, Groebner Bases and Convex Polytopes, ch. 1).  Its
+    elements may sit in another order and gb.order is <', which neither
+    the verdict nor the cone reads.  Cones and bases are scanned most
+    recently used first; relatively open cones are disjoint and the
+    reduced basis is unique, so the order of the scan changes no answer.
+    """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self._points: dict = {}
-        self._cones: list = []  # (cone, verdict)
+        self._cones: list = []  # (cone, verdict), most recently used first
+        self._bases: list = []  # MarkedGB, most recently used first
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
         if key in self._points:
             return self._points[key]
-        for cone, verdict in self._cones:
+        for i, (cone, verdict) in enumerate(self._cones):
             if relative_interior_contains(cone, key):
+                self._cones.insert(0, self._cones.pop(i))
                 self._points[key] = verdict
                 return verdict
-        gb = weight_gb(self.ideal, key)
+        order = weight_order(key)
+        for i, gb in enumerate(self._bases):
+            if all(g.head_monomial(order) == h
+                   for g, h in zip(gb.elements, gb.heads)):
+                self._bases.insert(0, self._bases.pop(i))
+                break
+        else:
+            gb = weight_gb(self.ideal, key)
+            self._bases.insert(0, gb)
         verdict = _no_monomial_initial(gb, key)
         cone = groebner_cone(gb, key)
-        self._cones.append((cone, verdict))
+        self._cones.insert(0, (cone, verdict))
         self._points[key] = verdict
         return verdict

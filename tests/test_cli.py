@@ -20,6 +20,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# an empty grid or no trials would pass every check on nothing
+BAD_CAMPAIGN_PARAMETERS = [("--grid", "-1"), ("--trials", "0"),
+                           ("--bound", "0")]
+
+
 class TestDim:
     def test_linear_r2_n4(self, capsys):
         code, out, _ = run(capsys, "dim", str(CORPUS / "linear_r2_n4"))
@@ -112,6 +117,13 @@ class TestGeneric:
         code, out, _ = run(capsys, "generic", str(CORPUS / "point"),
                            "--trials", "2", "--grid", "2")
         assert code == 0 and "empty" in out
+
+    @pytest.mark.parametrize("flag,value", BAD_CAMPAIGN_PARAMETERS)
+    def test_bad_campaign_parameter_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "generic", str(CORPUS / "ci_n4_dim2"),
+                             "--json", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be >= ")
 
 
 class TestFan:
@@ -227,6 +239,12 @@ class TestVerifyCorpus:
         (tmp_path / "manifest.json").write_text('{"ideals": {}}')
         code, _, _ = run(capsys, "verify-corpus", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", BAD_CAMPAIGN_PARAMETERS)
+    def test_bad_campaign_parameter_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify-corpus", str(CORPUS), flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be >= ")
 
     def test_tampered_manifest_fails(self, capsys, tmp_path):
         # negative control: mislabel a dimension and expect a FAIL

@@ -12,16 +12,16 @@ from tropgen.generic import (
     check_symmetry,
     gb_support_stability,
     generic_membership_map,
+    normalized_grid,
     perm_inverse,
     permute_columns,
     random_transform,
-    raw_membership_map,
     transform_ideal,
 )
 from tropgen.groebner import krull_dimension, reduced_gb
 from tropgen.linalg import QQ, det, mat_inverse, mat_mul
 from tropgen.poly import GRLEX, Ideal, parse_polynomial
-from tropgen.weights import normalize_grid_point
+from tropgen.weights import MembershipMap, normalize_grid_point
 
 
 def P(text, n):
@@ -144,12 +144,22 @@ class TestCampaigns:
 
     def test_asymmetric_non_generic_snapshot(self):
         # untransformed T((x2+x3)) = {w2 = w3} is not permutation closed
-        mapping = raw_membership_map(I(3, "x2 + x3"), 2)
+        mm = MembershipMap(I(3, "x2 + x3"))
+        mapping = {w: mm.query(w) for w in normalized_grid(3, 2)}
         swapped = {}
         for w, v in mapping.items():
             pw = normalize_grid_point(permute_weight(w, (1, 0, 2)))
             swapped[pw] = v
         assert any(mapping[w] != swapped.get(w, mapping[w]) for w in mapping)
+
+    @pytest.mark.parametrize("kwargs", [dict(grid_radius=-1),
+                                        dict(trials=0), dict(bound=0)])
+    def test_bad_parameters_raise(self, kwargs):
+        with pytest.raises(ValueError):
+            generic_membership_map(I(2, "x1*x2"), **kwargs)
+
+    def test_grid_is_shared(self):
+        assert normalized_grid(4, 3) is normalized_grid(4, 3)
 
     def test_report_json_is_stable(self):
         a = generic_membership_map(I(2, "x1*x2"), grid_radius=2, trials=2,

@@ -7,7 +7,12 @@ import pytest
 
 from tropgen import weights
 from tropgen.fans import cone_dim, member, same_cone
-from tropgen.generic import normalized_grid
+from tropgen.generic import (
+    normalized_grid,
+    random_transform,
+    transform_ideal,
+    trial_seed,
+)
 from tropgen.halfspaces import find_point
 from tropgen.poly import Ideal, parse_ideal_file, parse_polynomial
 from tropgen.weights import (
@@ -237,8 +242,51 @@ class TestNormalization:
             MembershipMap(ideal).query(w)
 
 
+def transformed_corpus_ideal(name):
+    ideal = parse_ideal_file((CORPUS / name).read_text())
+    return transform_ideal(ideal, random_transform(ideal.n, 50, trial_seed(1, 0)))
+
+
+class TestBasisReuse:
+    """A stored marked basis is reused only where it is the reduced basis."""
+
+    @pytest.mark.parametrize("name", CORPUS_IDEALS)
+    def test_reused_basis_is_the_fresh_basis(self, name, monkeypatch):
+        J = transformed_corpus_ideal(name)
+        used = []
+
+        def recording(gb, *ws):
+            used.append((gb, ws))
+            return groebner_cone(gb, *ws)
+
+        monkeypatch.setattr(weights, "groebner_cone", recording)
+        mm = MembershipMap(J)
+        for w in normalized_grid(J.n, 2):
+            assert mm.query(w) == in_tropical_variety(J, w), w
+        assert len(used) == len(mm._cones)
+        for gb, (key,) in used:
+            fresh = weight_gb(J, key)
+            assert set(zip(gb.heads, gb.elements)) == \
+                set(zip(fresh.heads, fresh.elements)), key
+
+    def test_other_heads_need_another_basis(self, monkeypatch):
+        calls = []
+
+        def counting(ideal, *ws):
+            calls.append(ws)
+            return weight_gb(ideal, *ws)
+
+        monkeypatch.setattr(weights, "weight_gb", counting)
+        mm = MembershipMap(I(2, "x1 + x2"))
+        # x1 + x2 is marked on x1 at (0, 1) and on x2 at (1, 0)
+        assert not mm.query((0, 1))
+        assert not mm.query((1, 0))
+        assert calls == [((0, 1),), ((1, 0),)]
+
+
 class TestWorkCounts:
-    """One weight Groebner basis per cache miss and per weight walked."""
+    """One weight Groebner basis per maximal Groebner cone met and per
+    weight walked."""
 
     TWISTED_CUBIC = ("x1*x3 - x2^2", "x1^2 - x2*x3")
 
@@ -254,12 +302,24 @@ class TestWorkCounts:
         return calls
 
     def test_membership_map_one_basis_per_miss(self, weight_gb_calls):
+        # 19 misses share the bases of the 9 maximal cones of the fan
         mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
         for w in normalized_grid(3, 2):
             mm.query(w)
         misses = len(mm._cones)
         assert misses == 19
-        assert len(weight_gb_calls) == misses
+        assert len(weight_gb_calls) == 9
+
+    @pytest.mark.parametrize("name", CORPUS_IDEALS)
+    def test_membership_map_at_most_one_basis_per_cone(self, name,
+                                                       weight_gb_calls):
+        J = transformed_corpus_ideal(name)
+        assert J.n <= 4
+        mm = MembershipMap(J)
+        for w in normalized_grid(J.n, 3):
+            mm.query(w)
+        bases = len(weight_gb_calls)
+        assert bases <= len(enumerate_groebner_fan(J).cones)
 
     def test_fan_walk_solves_each_weight_once(self, weight_gb_calls):
         # one basis for the start cone and one per flip, each flip across
