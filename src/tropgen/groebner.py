@@ -118,7 +118,13 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
             new = len(basis) - 1
             pairs.update((new, k) for k in range(new))
 
-    # minimize: drop elements whose head is divisible by another head
+    return interreduce(n, basis, heads, order)
+
+
+def interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
+    """The reduced marked basis from a Groebner basis whose element i is
+    marked on heads[i]: drop elements whose head another head divides,
+    then reduce each tail by the others and make it monic."""
     keep = []
     for i, h in enumerate(heads):
         if not any(j != i and monomial_divides(heads[j], h)
@@ -127,7 +133,6 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
     basis = [basis[i] for i in keep]
     heads = [heads[i] for i in keep]
 
-    # inter-reduce tails
     reduced = []
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
@@ -143,10 +148,6 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
 
 def reduced_gb(ideal: Ideal, order: TermOrder = GRLEX) -> MarkedGB:
     return buchberger(list(ideal.generators), order)
-
-
-def ideal_member(p: Polynomial, gb: MarkedGB) -> bool:
-    return normal_form(p, gb.elements, gb.heads, gb.order).is_zero
 
 
 def contains_one(generators, order: TermOrder = GRLEX) -> bool:

@@ -89,15 +89,6 @@ def det(matrix):
     return result
 
 
-def mat_inverse(matrix):
-    n = len(matrix)
-    work = [list(map(QQ, row)) + list(identity(n)[i]) for i, row in enumerate(matrix)]
-    reduced, pivots = rref(work)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
-
-
 def primitive(vec):
     """Scale a rational vector to a coprime integer vector (direction kept).
 

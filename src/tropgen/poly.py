@@ -70,9 +70,6 @@ def _canonical_key(exp):
 # ---------------------------------------------------------------------------
 # term orders
 
-LT, EQ, GT = -1, 0, 1
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Total order on monomials used for marking Groebner basis heads.
@@ -113,16 +110,6 @@ def weight_order(*weights) -> TermOrder:
     one degree it is the order of w1 + eps*w2 + eps^2*w3 + ... for every
     small enough eps > 0 (ties broken by lex)."""
     return TermOrder("weight", weights=weights)
-
-
-def compare_monomials(a, b, order: TermOrder) -> int:
-    """GT (=1) iff a is preferred over b (marked first), EQ iff a == b."""
-    ka, kb = order.key(a), order.key(b)
-    if ka > kb:
-        return GT
-    if ka < kb:
-        return LT
-    return EQ
 
 
 # ---------------------------------------------------------------------------

@@ -184,23 +184,9 @@ class LinearIdealMatrix:
         return Ideal.of(self.n, tuple(gens))
 
 
-def gauss_reduce(A: LinearIdealMatrix):
-    """Reduced form [I_r | *] of the matrix, dropping zero rows.
-
-    When the leading r x r minor vanishes the reduction needs a column
-    permutation; gauss_reduce_report exposes it, here it raises since a
-    permuted matrix describes a different ideal."""
-    reduced, perm = gauss_reduce_report(A)
-    if perm != tuple(range(A.n)):
-        raise NonGenericMatrixError(
-            f"leading minor vanishes; column permutation {perm} required")
-    return reduced
-
-
 def gauss_reduce_report(A: LinearIdealMatrix):
     """(reduced matrix in [I_r | *] form, column permutation applied)."""
     reduced, pivots = rref(A.rows)
-    r = len(reduced)
     perm = tuple(pivots) + tuple(c for c in range(A.n) if c not in pivots)
     permuted = tuple(tuple(row[c] for c in perm) for row in reduced)
     return permuted, perm

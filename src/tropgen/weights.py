@@ -18,7 +18,8 @@ from dataclasses import replace
 from math import gcd
 
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
-from .groebner import MarkedGB, contains_monomial, reduced_gb
+from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
+                       normal_form, reduced_gb)
 from .halfspaces import find_point
 from .linalg import vec_dot
 from .poly import Ideal, Polynomial, weight_order
@@ -117,22 +118,25 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
 
     Starting from the cone of a fixed term order, each facet (inequality
     row tight, all others strict) yields an interior facet point p; the
-    neighbouring cone is the cone of the order refining p by the row (see
-    _flip), so each cone costs one Groebner basis.  A facet is flipped
-    only when no cone found so far, other than the current one, contains
-    p: the Groebner fan of a graded ideal is complete, so a point in the
-    relative interior of a facet lies in exactly two maximal cones, and a
-    found cone containing p is already the neighbour.  The traversal stops
-    with BudgetExceededError when more than fan_budget() cones appear, and
-    with IncompleteFanError when a flip fails.
+    neighbouring cone is the cone of the order refining p by the row, and
+    its reduced basis is lifted from the current cone's basis (see _flip),
+    so each cone after the first costs one Buchberger run on initial forms
+    and one division by the current basis.  A cone's basis is kept only
+    while the cone is on the stack.  A facet is flipped only when no cone
+    found so far, other than the current one, contains p: the Groebner fan
+    of a graded ideal is complete, so a point in the relative interior of
+    a facet lies in exactly two maximal cones, and a found cone containing
+    p is already the neighbour.  The traversal stops with
+    BudgetExceededError when more than fan_budget() cones appear, and with
+    IncompleteFanError when a flip fails.
     """
     n = ideal.n
     budget = fan_budget()
     start = _generic_start(ideal)
-    found = {start: None}  # insertion-ordered set: walked or on the stack
-    stack = [start]
+    found = {start[0]: None}  # insertion-ordered set: walked or on the stack
+    stack = [start]  # (cone, basis) pairs
     while stack:
-        cone = stack.pop()
+        cone, gb = stack.pop()
         for row in cone.inequalities:
             others = [q for q in cone.inequalities if q != row]
             p = find_point(n, equalities=[row], strict=others)
@@ -140,12 +144,12 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
                 continue  # not a facet: row is redundant
             if any(member(c, p) for c in found if c is not cone):
                 continue
-            other = _flip(ideal, cone, row, p)
+            other, other_gb = _flip(cone, gb, row, p)
             found[other] = None
             if len(found) > budget:
                 raise BudgetExceededError(
                     f"more than {budget} full-dimensional Groebner cones")
-            stack.append(other)
+            stack.append((other, other_gb))
     # the cones of a fan share most of their rows: keep one copy of each
     rows = {}
     return Fan(n, tuple(
@@ -154,30 +158,45 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
         for c in found))
 
 
-def _generic_start(ideal: Ideal) -> Cone:
-    """The Groebner cone of the order refining the unit weights e1, ...,
-    en in turn: heads have the fewest x1, then the fewest x2, and so on.
+def _generic_start(ideal: Ideal):
+    """(cone, basis) of the order refining the unit weights e1, ..., en in
+    turn: heads have the fewest x1, then the fewest x2, and so on.
 
     No nonzero row is orthogonal to every unit weight, so the cone has no
     equalities and is full-dimensional (see groebner_cone)."""
     units = [tuple(int(i == j) for j in range(ideal.n))
              for i in range(ideal.n)]
-    return groebner_cone(weight_gb(ideal, *units), *units)
+    gb = weight_gb(ideal, *units)
+    return groebner_cone(gb, *units), gb
 
 
-def _flip(ideal: Ideal, cone: Cone, row, p) -> Cone:
-    """The full-dimensional cone across the facet {row . x = 0} of cone,
-    whose closure holds the facet point p.
+def _flip(cone: Cone, gb: MarkedGB, row, p):
+    """(cone, basis) across the facet {row . x = 0} of cone, whose closure
+    holds the facet point p; gb is the reduced basis of cone.
 
-    It is the cone of the order refining p by the facet's outer normal
-    row, which is the order of p + eps*row for every small enough eps > 0
-    (Fukuda, Jensen and Thomas, "Computing Groebner fans", 2007), so one
-    Groebner basis finds it."""
-    other = groebner_cone(weight_gb(ideal, p, row), p, row)
+    The neighbour is the cone of the order < refining p by the facet's
+    outer normal row, which is the order of p + eps*row for every small
+    enough eps > 0 (Fukuda, Jensen and Thomas, "Computing Groebner fans",
+    2007, section 3).  Its basis is lifted from gb.  p lies in the closure
+    of gb's cone, so the initial forms in_p(g), g in gb, are a Groebner
+    basis of in_p(I) for gb's order, and Buchberger on them under < gives
+    the reduced basis H of in_p(I).  Each h in H lies in in_p(I); dividing
+    it by gb leaves a remainder of larger p-weight only, so
+    f = h - nf_gb(h) lies in I with in_p(f) = h.  As < refines p, the f
+    are a minimal Groebner basis of the graded ideal I for < with the
+    heads of H, and inter-reducing them gives the reduced basis, which is
+    unique: the same basis, and the same cone, as a fresh Buchberger run.
+    """
+    order = weight_order(p, row)
+    initial = buchberger([initial_form(g, p) for g in gb.elements], order)
+    lifted = [h - normal_form(h, gb.elements, gb.heads, gb.order)
+              for h in initial.elements]
+    other_gb = interreduce(gb.n, lifted, initial.heads, order)
+    other = groebner_cone(other_gb, p, row)
     if other == cone or not member(other, p):
         raise IncompleteFanError(
             f"no Groebner cone found across the facet with row {row}")
-    return other
+    return other, other_gb
 
 
 # ---------------------------------------------------------------------------

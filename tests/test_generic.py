@@ -19,13 +19,23 @@ from tropgen.generic import (
     transform_ideal,
 )
 from tropgen.groebner import krull_dimension, reduced_gb
-from tropgen.linalg import QQ, det, mat_inverse, mat_mul
+from tropgen.linalg import QQ, det, mat_mul
 from tropgen.poly import GRLEX, Ideal, parse_polynomial
 from tropgen.weights import MembershipMap, normalize_grid_point
 
 
 def P(text, n):
     return parse_polynomial(text, n)
+
+
+def mat_inverse(g):
+    """Inverse by cofactors: entry (i, j) is (-1)^(i+j) times the
+    determinant of g without row j and column i, over det(g)."""
+    n = len(g)
+    d = det(g)
+    return tuple(tuple((-1) ** (i + j) * det([
+        [g[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+        / d for j in range(n)) for i in range(n))
 
 
 def I(n, *texts):

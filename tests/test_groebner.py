@@ -1,6 +1,7 @@
 """Groebner engine: normal forms, reduced bases, dimension, containment."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from tropgen.groebner import (
     buchberger,
     contains_monomial,
     contains_one,
-    ideal_member,
     krull_dimension,
     minimal_monomial_generators,
     monomial_ideal_dimension,
@@ -24,6 +24,7 @@ from tropgen.poly import (
     Ideal,
     ImproperIdealError,
     Polynomial,
+    TermOrder,
     parse_polynomial,
     weight_order,
 )
@@ -92,8 +93,9 @@ class TestBuchberger:
     def test_membership_soundness(self):
         gb = reduced_gb(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3"), GRLEX)
         f = P("x1*x3 - x2^2", 3) * P("x1 + 7*x3", 3)
-        assert ideal_member(f, gb)
-        assert not ideal_member(P("x1^2", 3), gb)
+        assert normal_form(f, gb.elements, gb.heads, gb.order).is_zero
+        assert not normal_form(P("x1^2", 3), gb.elements, gb.heads,
+                               gb.order).is_zero
 
     def test_monomial_ideal_gb_is_generators(self):
         gb = reduced_gb(I(3, "x1*x2", "x1*x3", "x2*x3"), GRLEX)
@@ -163,3 +165,88 @@ class TestDimension:
             w = tuple(rng.randint(-4, 4) for _ in range(3))
             gb = reduced_gb(ideal, weight_order(w))
             assert monomial_ideal_dimension(3, gb.heads) == base
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Up to 3 nonzero homogeneous generators in n <= 3 variables, of
+    degree <= 3, with coefficients in [-3, 3]."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        monos = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                               max_size=len(monos)).filter(any))
+        gens.append(Polynomial.from_dict(
+            n, {e: QQ(c) for e, c in zip(monos, coeffs)}))
+    return n, gens
+
+
+@pytest.fixture(scope="module")
+def sympy_basis():
+    """basis(n, generators, order): the reduced basis sympy.groebner
+    finds, as a set of polynomials monic under order."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import MonomialOrder
+
+    class Order(MonomialOrder):
+        """A term order for sympy, whose leading monomial maximizes the
+        key as a head does."""
+
+        def __init__(self, order):
+            self.order = order
+
+        def __call__(self, monomial):
+            return self.order.key(monomial)
+
+        # sympy caches polynomial rings by their order, and MonomialOrder
+        # compares by class only
+        def __eq__(self, other):
+            return isinstance(other, Order) and other.order == self.order
+
+        def __hash__(self):
+            return hash(self.order)
+
+    def basis(n, generators, order):
+        xs = sympy.symbols(f"x1:{n + 1}")
+        polys = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator,
+                                                         c.denominator)
+                                       for e, c in g.terms}, xs)
+                 for g in generators]
+        G = sympy.groebner(polys, *xs, order=Order(order))
+        return {Polynomial.from_dict(n, {e: QQ(int(c.p), int(c.q))
+                                         for e, c in g.terms()}).monic(order)
+                for g in G.polys}
+
+    return basis
+
+
+class TestSympyOracle:
+    """buchberger agrees with sympy.groebner, an independent engine, on
+    the reduced basis: elements and heads."""
+
+    def test_sympy_honours_weight_orders(self, sympy_basis):
+        order = weight_order((2, 1, 0))
+        gens = [P("x1*x2 - x3^2", 3), P("x1^2 - x2*x3", 3)]
+        theirs = sympy_basis(3, gens, order)
+        # under lex the heads would be x1*x2 and x1^2
+        assert {g.head_monomial(order) for g in theirs} == {
+            (0, 0, 2), (0, 1, 1), (2, 0, 1), (1, 3, 0)}
+        assert theirs == set(buchberger(gens, order).elements)
+
+    @pytest.mark.parametrize("kind", ["lex", "grlex", "weight"])
+    @settings(max_examples=100, deadline=None)
+    @given(case=homogeneous_ideals(), data=st.data())
+    def test_reduced_basis_matches_sympy(self, sympy_basis, kind, case,
+                                         data):
+        n, gens = case
+        if kind == "weight":
+            vec = st.tuples(*[st.integers(-3, 3)] * n)
+            order = weight_order(*data.draw(st.lists(vec, min_size=1,
+                                                     max_size=2)))
+        else:
+            order = TermOrder(kind)
+        gb = buchberger(gens, order)
+        assert set(gb.elements) == sympy_basis(n, gens, order)
+        assert gb.heads == tuple(g.head_monomial(order) for g in gb.elements)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgen import weights
+from tropgen import groebner, weights
 from tropgen.fans import cone_dim, member, same_cone
 from tropgen.generic import (
     normalized_grid,
@@ -13,6 +13,7 @@ from tropgen.generic import (
     transform_ideal,
     trial_seed,
 )
+from tropgen.groebner import buchberger
 from tropgen.halfspaces import find_point
 from tropgen.poly import Ideal, parse_ideal_file, parse_polynomial
 from tropgen.weights import (
@@ -20,6 +21,7 @@ from tropgen.weights import (
     IncompleteFanError,
     MembershipMap,
     _flip,
+    _generic_start,
     enumerate_groebner_fan,
     groebner_cone,
     in_tropical_variety,
@@ -54,6 +56,21 @@ def halving_flip(ideal, cone, row, p):
             return other
         eps /= 2
     raise AssertionError(f"no cone found across the facet with row {row}")
+
+
+def facets_with_bases(ideal):
+    """(cone, basis, row, facet point) at every facet of every maximal
+    cone of the fan of ideal; the basis is a fresh one from an interior
+    point of the cone."""
+    for cone in enumerate_groebner_fan(ideal).cones:
+        w = find_point(ideal.n, strict=cone.inequalities)
+        gb = weight_gb(ideal, w)
+        assert groebner_cone(gb, w) == cone
+        for row in cone.inequalities:
+            others = [q for q in cone.inequalities if q != row]
+            p = find_point(ideal.n, equalities=[row], strict=others)
+            if p is not None:
+                yield cone, gb, row, p
 
 
 class TestInitialForm:
@@ -174,23 +191,30 @@ class TestFanEnumeration:
 
     def test_flip_that_stays_in_the_cone_raises(self):
         ideal = I(2, "x1 + x2")
-        cone = enumerate_groebner_fan(ideal).cones[0]
+        cone, gb = _generic_start(ideal)
+        assert cone == enumerate_groebner_fan(ideal).cones[0]
         row = cone.inequalities[0]
         p = find_point(2, equalities=[row])
         with pytest.raises(IncompleteFanError):
-            _flip(ideal, cone, tuple(-x for x in row), p)
+            _flip(cone, gb, tuple(-x for x in row), p)
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_flip_matches_halving_search(self, name):
         ideal = parse_ideal_file((CORPUS / name).read_text())
         assert ideal.n <= 4
-        for cone in enumerate_groebner_fan(ideal).cones:
-            for row in cone.inequalities:
-                others = [q for q in cone.inequalities if q != row]
-                p = find_point(ideal.n, equalities=[row], strict=others)
-                if p is not None:
-                    assert (_flip(ideal, cone, row, p)
-                            == halving_flip(ideal, cone, row, p))
+        for cone, gb, row, p in facets_with_bases(ideal):
+            assert (_flip(cone, gb, row, p)[0]
+                    == halving_flip(ideal, cone, row, p))
+
+    @pytest.mark.parametrize("name", CORPUS_IDEALS)
+    def test_lifted_flip_is_the_fresh_basis(self, name):
+        J = transformed_corpus_ideal(name)
+        for cone, gb, row, p in facets_with_bases(J):
+            other, lifted = _flip(cone, gb, row, p)
+            fresh = weight_gb(J, p, row)
+            assert lifted.heads == fresh.heads, row
+            assert lifted.elements == fresh.elements, row
+            assert other == groebner_cone(fresh, p, row)
 
     def test_interiors_are_disjoint(self):
         fan = enumerate_groebner_fan(I(3, "x1 + x2 + x3"))
@@ -301,6 +325,18 @@ class TestWorkCounts:
         monkeypatch.setattr(weights, "weight_gb", counting)
         return calls
 
+    @pytest.fixture
+    def buchberger_calls(self, monkeypatch):
+        calls = []
+
+        def counting(generators, order):
+            calls.append(order)
+            return buchberger(generators, order)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(weights, "buchberger", counting)
+        return calls
+
     def test_membership_map_one_basis_per_miss(self, weight_gb_calls):
         # 19 misses share the bases of the 9 maximal cones of the fan
         mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
@@ -321,9 +357,12 @@ class TestWorkCounts:
         bases = len(weight_gb_calls)
         assert bases <= len(enumerate_groebner_fan(J).cones)
 
-    def test_fan_walk_solves_each_weight_once(self, weight_gb_calls):
-        # one basis for the start cone and one per flip, each flip across
-        # an interior facet not yet crossed: one basis per cone
+    def test_fan_walk_solves_each_weight_once(self, weight_gb_calls,
+                                              buchberger_calls):
+        # one fresh basis for the start cone; each flip, across an interior
+        # facet not yet crossed, lifts its basis with one Buchberger run on
+        # initial forms: one run per cone
         fan = enumerate_groebner_fan(I(3, *self.TWISTED_CUBIC))
         assert len(fan.cones) == 9
-        assert len(weight_gb_calls) == len(fan.cones)
+        assert len(weight_gb_calls) == 1
+        assert len(buchberger_calls) == len(fan.cones)
