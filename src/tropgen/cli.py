@@ -8,8 +8,8 @@ Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1 is one, and so are --grid
 below 0 and --trials or --bound below 1), 3 improper ideal
-(contains a unit), 4 persistent transform disagreement, 5 fan budget
-exceeded.
+(contains a unit), 4 persistent transform disagreement or no suitable
+random transform within --bound, 5 fan budget exceeded.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .fans import (
 )
 from .generic import (
     DisagreementError,
+    TransformSearchError,
     check_lineality,
     check_skeleton_equality,
     check_symmetry,
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         return EXIT_IMPROPER
     except DisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
+    except TransformSearchError as exc:
+        print(f"error: {exc}; try a larger --bound", file=sys.stderr)
         return EXIT_DISAGREE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,10 @@ class DisagreementError(RuntimeError):
     """Trials kept disagreeing after all escalation rounds."""
 
 
+class TransformSearchError(RuntimeError):
+    """No sampled transform within the bound has the required property."""
+
+
 def random_transform(n: int, bound: int, seed: int):
     """Invertible n x n integer matrix with entries in [-bound, bound]."""
     rng = random.Random(seed)
@@ -40,7 +44,9 @@ def random_transform(n: int, bound: int, seed: int):
                   for _ in range(n))
         if det(g) != 0:
             return g
-    raise RuntimeError("failed to sample an invertible matrix")
+    raise TransformSearchError(
+        f"no invertible {n} x {n} matrix with entries in [-{bound}, {bound}] "
+        f"in 1000 samples")
 
 
 def apply_transform(p: Polynomial, g) -> Polynomial:
@@ -68,21 +74,6 @@ def apply_transform(p: Polynomial, g) -> Polynomial:
 
 def transform_ideal(ideal: Ideal, g) -> Ideal:
     return Ideal.of(ideal.n, tuple(apply_transform(p, g) for p in ideal.generators))
-
-
-def permute_columns(g, perm):
-    """sigma(g): entry (i, j) of the result is g[i][sigma^{-1}(j)], so that
-    applying sigma(g) equals applying g then permuting variables by sigma."""
-    n = len(g)
-    inv = perm_inverse(perm)
-    return tuple(tuple(g[i][inv[j]] for j in range(n)) for i in range(n))
-
-
-def perm_inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
 
 
 def trial_seed(seed: int, trial: int, escalation: int = 0) -> int:

@@ -1,4 +1,5 @@
-"""Feasibility of small homogeneous halfspace systems via Fourier-Motzkin.
+"""Feasibility of small homogeneous halfspace systems via Fourier-Motzkin,
+and the facets of a full-dimensional cone by ray shooting.
 
 A constraint is a primitive integer row q with a strict flag: q.z <= 0,
 or q.z < 0 when the flag is set.  Eliminating a variable combines every
@@ -8,10 +9,14 @@ strict when p or q is.  Rows are deduplicated on the row alone, the
 strict flag winning, so equal rows merge at every level.  The system is
 infeasible exactly when an all-zero strict row (0 < 0) appears.
 
-Equalities are removed first by projecting onto a primitive integer basis
-of their kernel.  Fractions appear only in the back-substitution that
-builds a witness, which is returned scaled to a primitive integer point
-(the systems are homogeneous, so positive scaling keeps it a solution).
+Equalities, if any, are removed first by projecting onto a primitive
+integer basis of their kernel.  Fractions appear only in the
+back-substitution that builds a witness, which is returned scaled to a
+primitive integer point (the systems are homogeneous, so positive scaling
+keeps it a solution).  facets() finds the irredundant rows of a cone by
+Clarkson's output-sensitive ray shooting (cddlib's
+RedundantRowsViaShooting).
+
 All cones in this project are tiny (ambient dimension <= 8, a few dozen
 constraint rows), so exact elimination is both simple and fast enough.
 No floating point is ever involved.
@@ -65,16 +70,18 @@ def find_point(n, equalities=(), nonstrict=(), strict=()):
     Solves  e.x = 0 for e in equalities,  q.x <= 0 for q in nonstrict and
     q.x < 0 for q in strict, all rows integer vectors of length n.
     """
-    basis = nullspace(equalities, n)
-    k = len(basis)
+    basis = nullspace(equalities, n) if equalities else None
     system = {}
     for rows, flag in ((nonstrict, False), (strict, True)):
         for q in rows:
-            if not _add(system, tuple(vec_dot(q, b) for b in basis), flag):
+            if basis is not None:
+                q = [vec_dot(q, b) for b in basis]
+            if not _add(system, tuple(q), flag):
                 return None
 
     # Eliminate z_{k-1}, ..., z_0, keeping the system at each level.
     levels = []
+    k = n if basis is None else len(basis)
     for var in range(k - 1, -1, -1):
         levels.append(system)
         system = _eliminate(system, var)
@@ -100,8 +107,67 @@ def find_point(n, equalities=(), nonstrict=(), strict=()):
             z.append(lo + 1)
         else:
             z.append((lo + hi) / 2)
-    return primitive([sum(zi * b[j] for zi, b in zip(z, basis))
-                      for j in range(n)])
+    if basis is not None:
+        z = [sum(zi * b[j] for zi, b in zip(z, basis)) for j in range(n)]
+    return primitive(z)
+
+
+def facets(n, rows):
+    """{facet row: primitive integer point in its relative interior} for
+    the full-dimensional cone {x : q.x <= 0 for q in rows}, in the order
+    of rows (distinct, nonzero, primitive); ValueError if it has no
+    interior point c.  With F the facets found so far, an undecided row q
+    is tested by x = find_point(F <= 0, q.x > 0), of size |F| + 1:
+
+    * No x: q is implied by the rows F, so it is no facet.
+    * Else the ray (1 - t) c + t x meets r.x = 0 at t = a / (a + b) < 1
+      for each row r with a = -r.c > 0 and b = r.x > 0 (q is one; rows
+      of F and rows implied by them have b <= 0 and stay negative for
+      t < 1).  At the least t, compared as a1 b2 < a2 b1, the point is
+      in the cone with exactly the tied rows T tight.
+    * If T = {r}, then b c + a x makes r zero and every other row
+      negative: r is a facet (so undecided: rows failing a probe below
+      are no facets), and the point is in its relative interior.
+    * Else the point is in the relative interior of a proper face, which
+      is the intersection of the facets containing it; their rows are
+      tight there, so T holds a facet not in F.  Each undecided row r of
+      T gets the full probe find_point(r.x = 0, every other row < 0),
+      which has a point exactly when r is a facet.
+
+    Each step decides q, r or a facet of T, so there are at most
+    len(rows) steps; besides the search for c, only tie probes hold
+    every row.
+    """
+    c = find_point(n, strict=rows)
+    if c is None:
+        raise ValueError("the cone has no interior point")
+    found = {}
+    todo = dict.fromkeys(rows)  # undecided rows, an insertion-ordered set
+    while todo:
+        q = next(reversed(todo))
+        x = find_point(n, nonstrict=found, strict=[tuple(-v for v in q)])
+        if x is None:
+            del todo[q]
+            continue
+        tied, a, b = [], 1, 0  # the rows at the least crossing a / (a + b)
+        for r in rows:
+            rb = vec_dot(r, x)
+            if rb > 0:
+                ra = -vec_dot(r, c)
+                if ra * b < a * rb:
+                    tied, a, b = [r], ra, rb
+                elif ra * b == a * rb:
+                    tied.append(r)
+        if len(tied) == 1:
+            found[tied[0]] = primitive([b * ci + a * xi
+                                        for ci, xi in zip(c, x)])
+            del todo[tied[0]]
+        for r in (r for r in tied if r in todo):
+            del todo[r]
+            p = find_point(n, equalities=[r], strict=[s for s in rows if s != r])
+            if p is not None:
+                found[r] = p
+    return {r: found[r] for r in rows if r in found}
 
 
 def feasible(n, equalities=(), nonstrict=(), strict=()):

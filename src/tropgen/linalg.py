@@ -28,65 +28,43 @@ def identity(n):
 
 
 def rref(rows):
-    """Reduced row echelon form.
-
-    Returns (reduced_nonzero_rows, pivot_columns).  Rows are tuples of QQ.
-    """
+    """Reduced row echelon form: (nonzero rows as tuples of QQ, pivot
+    columns), the rows of echelon() divided by their pivots."""
     if not rows:
         return (), ()
-    work = [list(map(QQ, r)) for r in rows]
-    n = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    reduced, pivots = echelon(rows, len(rows[0]))
+    return tuple(tuple(QQ(x, r[c]) for x in r)
+                 for r, c in zip(reduced, pivots)), pivots
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    return len(echelon(rows, len(rows[0]))[0]) if rows else 0
 
 
 def det(matrix):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(matrix)
-    work = [list(map(QQ, row)) for row in matrix]
-    result = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+    """Exact determinant by fraction-free (Bareiss) elimination of the
+    rows scaled to integers: each step a_ij <- (a_ij a_kk - a_ik a_kj) / p,
+    p the previous pivot, leaves a minor, so every division is exact."""
+    work, scale = [], 1
+    for row in matrix:
+        d = lcm(*(x.denominator for x in row))
+        work.append([int(x * d) for x in row])
+        scale *= d
+    n, sign, prev = len(work), 1, 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            i = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if i is None:
+                return ZERO
+            work[k], work[i] = work[i], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            wi, wik = work[i], work[i][k]
+            for j in range(k + 1, n):
+                wi[j] = (wi[j] * pivot - wik * work[k][j]) // prev
+        prev = pivot
+    return QQ(sign * work[-1][-1], scale) if n else ONE
 
 
 def primitive(vec):
@@ -99,15 +77,6 @@ def primitive(vec):
     ints = [int(x * denom) for x in vec]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
-
-
-def primitive_signed(vec):
-    """Like primitive(), but with the first nonzero entry made positive."""
-    p = primitive(vec)
-    for x in p:
-        if x != 0:
-            return p if x > 0 else tuple(-y for y in p)
-    return p
 
 
 def clear_column(row, erow, c):
@@ -164,9 +133,7 @@ def nullspace(rows, n):
 
 
 def kernel_basis_primitive(rows, n):
-    """Primitive integer basis of the kernel, canonically ordered."""
-    basis = nullspace(rows, n)
-    if not basis:
-        return ()
-    reduced, _ = rref(basis)
-    return tuple(sorted(primitive_signed(v) for v in reduced))
+    """Primitive integer basis of the kernel, canonically ordered: its
+    reduced row echelon basis with each row scaled to primitive integers
+    (the rows of echelon()), sorted."""
+    return tuple(sorted(echelon(nullspace(rows, n), n)[0]))

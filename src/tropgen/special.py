@@ -27,6 +27,7 @@ from math import comb
 
 from .fans import Cone, build_W, make_cone, same_cone, skeleton_membership
 from .generic import (
+    TransformSearchError,
     apply_transform,
     check_skeleton_equality,
     generic_membership_map,
@@ -78,7 +79,8 @@ def full_support_transform(f: Polynomial, bound: int, seed: int,
     """A random transform g with g(f) supported on all degree-d monomials.
 
     For deg f >= 1 such transforms form a dense open set, so resampling
-    succeeds quickly; returns (g, g_of_f)."""
+    succeeds quickly unless the bound rules them out (f = x1*x2 with
+    bound 1); returns (g, g_of_f), or raises TransformSearchError."""
     n, d = f.n, f.homogeneous_degree()
     full = comb(n + d - 1, d)
     for attempt in range(attempts):
@@ -86,7 +88,9 @@ def full_support_transform(f: Polynomial, bound: int, seed: int,
         gf = apply_transform(f, g)
         if len(gf.terms) == full:
             return g, gf
-    raise RuntimeError("no full-support transform found")
+    raise TransformSearchError(
+        f"no transform with entries in [-{bound}, {bound}] gives g(f) all "
+        f"{full} monomials of degree {d} in {attempts} samples")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from math import gcd
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
 from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
                        normal_form, reduced_gb)
-from .halfspaces import find_point
+from .halfspaces import facets
 from .linalg import vec_dot
 from .poly import Ideal, Polynomial, weight_order
 
@@ -116,36 +116,44 @@ class IncompleteFanError(RuntimeError):
 def enumerate_groebner_fan(ideal: Ideal) -> Fan:
     """All full-dimensional Groebner cones, by depth-first facet flipping.
 
-    Starting from the cone of a fixed term order, each facet (inequality
-    row tight, all others strict) yields an interior facet point p; the
-    neighbouring cone is the cone of the order refining p by the row, and
-    its reduced basis is lifted from the current cone's basis (see _flip),
-    so each cone after the first costs one Buchberger run on initial forms
-    and one division by the current basis.  A cone's basis is kept only
-    while the cone is on the stack.  A facet is flipped only when no cone
-    found so far, other than the current one, contains p: the Groebner fan
-    of a graded ideal is complete, so a point in the relative interior of
-    a facet lies in exactly two maximal cones, and a found cone containing
-    p is already the neighbour.  The traversal stops with
+    Starting from the cone of a fixed term order, halfspaces.facets gives
+    each facet row of a cone with a point p in the facet's relative
+    interior; the neighbouring cone is the cone of the order refining p by
+    the row, and its reduced basis is lifted from the current cone's basis
+    (see _flip), so each cone after the first costs one Buchberger run on
+    initial forms and one division by the current basis.  A cone's basis
+    is kept only while the cone is on the stack.  The traversal stops with
     BudgetExceededError when more than fan_budget() cones appear, and with
     IncompleteFanError when a flip fails.
+
+    A facet F of the current cone C is flipped only when no found cone
+    with -row among its rows contains p.  The Groebner fan of a graded
+    ideal is a complete fan, so a found cone D != C containing p meets C
+    in a common face holding p, hence all of F; the face is not C, so it
+    is F, a facet of D too, whose outer normal in D is -row: D's rows,
+    primitive and deduplicated, include -row.  C's rows never do.  And p
+    lies in exactly two maximal cones, so such a D is the neighbour.
     """
     n = ideal.n
     budget = fan_budget()
     start = _generic_start(ideal)
-    found = {start[0]: None}  # insertion-ordered set: walked or on the stack
+    found = {}  # insertion-ordered set: walked or on the stack
+    by_row = {}  # row -> the found cones having it among their rows
+
+    def add(cone):
+        found[cone] = None
+        for q in cone.inequalities:
+            by_row.setdefault(q, []).append(cone)
+    add(start[0])
     stack = [start]  # (cone, basis) pairs
     while stack:
         cone, gb = stack.pop()
-        for row in cone.inequalities:
-            others = [q for q in cone.inequalities if q != row]
-            p = find_point(n, equalities=[row], strict=others)
-            if p is None:
-                continue  # not a facet: row is redundant
-            if any(member(c, p) for c in found if c is not cone):
+        for row, p in facets(n, cone.inequalities).items():
+            neg = tuple(-x for x in row)
+            if any(member(c, p) for c in by_row.get(neg, ())):
                 continue
             other, other_gb = _flip(cone, gb, row, p)
-            found[other] = None
+            add(other)
             if len(found) > budget:
                 raise BudgetExceededError(
                     f"more than {budget} full-dimensional Groebner cones")

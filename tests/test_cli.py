@@ -217,6 +217,14 @@ class TestPrincipal:
         code, _, _ = run(capsys, "principal", str(CORPUS / "point"))
         assert code == 2
 
+    def test_no_full_support_transform_exit_4(self, capsys):
+        # (a x1 + b x2)(c x1 + d x2) with entries in [-1, 1] and ad != bc
+        # has x1*x2 coefficient ad + bc = 0
+        code, out, err = run(capsys, "principal",
+                             str(CORPUS / "monomial_x1x2"), "--bound", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "larger --bound" in err
+
 
 class TestVerifyCorpus:
     def test_quick_subset(self, capsys):

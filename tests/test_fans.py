@@ -1,4 +1,5 @@
-"""Cones, the reference fan W(n) and its skeletons."""
+"""Cones, the reference fan W(n) and its skeletons, and the exact linear
+algebra under them."""
 
 from itertools import permutations
 from math import comb
@@ -24,7 +25,8 @@ from tropgen.fans import (
     w_skeleton,
 )
 from tropgen.halfspaces import find_point
-from tropgen.linalg import QQ, primitive, primitive_signed, rref
+from tropgen.linalg import QQ, det, kernel_basis_primitive, primitive, rank
+from tropgen.linalg import rref as echelon_rref
 
 
 class TestBuildW:
@@ -97,6 +99,31 @@ def cone_rows(draw):
     return n, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=6))
 
 
+def rref(rows):
+    """Reference reduced row echelon form over the rationals:
+    (nonzero rows, pivot columns)."""
+    work = [list(map(QQ, r)) for r in rows]
+    reduced, pivots = [], []
+    for c in range(len(work[0]) if work else 0):
+        i = next((i for i, r in enumerate(work) if r[c] != 0), None)
+        if i is None:
+            continue
+        row = work.pop(i)
+        prow = [x / row[c] for x in row]
+        work = [[x - r[c] * y for x, y in zip(r, prow)] for r in work]
+        reduced = [[x - r[c] * y for x, y in zip(r, prow)] for r in reduced]
+        reduced.append(prow)
+        pivots.append(c)
+    return tuple(map(tuple, reduced)), tuple(pivots)
+
+
+def primitive_signed(vec):
+    """primitive() with the first nonzero entry made positive."""
+    p = primitive(vec)
+    lead = next((x for x in p if x), 1)
+    return p if lead > 0 else tuple(-x for x in p)
+
+
 def rational_canonical_form(eqs, ineqs):
     """make_cone's rows computed through the rational RREF: equalities are
     the RREF rows made primitive, inequalities are reduced modulo them,
@@ -156,6 +183,57 @@ class TestConeOps:
         c = make_cone(2)
         assert cone_dim(c) == 2
         assert member(c, (5, -7))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    r = draw(st.integers(0, 4))
+    n = r if square else draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return [tuple(draw(entry) for _ in range(n)) for _ in range(r)], n
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = QQ(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = QQ((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+class TestLinalg:
+    @given(rational_matrices(square=True))
+    @settings(max_examples=100, deadline=None)
+    def test_bareiss_det_matches_leibniz(self, case):
+        m, _ = case
+        assert det(m) == leibniz_det(m)
+
+    def test_det_with_row_swaps(self):
+        assert det([(0, 1, 0), (1, 0, 0), (0, 0, 1)]) == -1
+        assert det([(0, 0, 2), (0, 3, 0), (QQ(1, 2), 0, 0)]) == QQ(-3)
+        assert det([(1, 2), (2, 4)]) == 0
+
+    @given(rational_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rref_rank_and_kernel_match_rational_reference(self, case):
+        rows, n = case
+        reduced, pivots = rref(rows)
+        assert echelon_rref(rows) == (reduced, pivots)
+        assert rank(rows) == len(reduced)
+        free = [c for c in range(n) if c not in pivots]
+        kernel = []
+        for f in free:  # the RREF kernel basis: 1 at f, -row[f] at pivots
+            v = [QQ(int(c == f)) for c in range(n)]
+            for row, c in zip(reduced, pivots):
+                v[c] = -row[f]
+            kernel.append(v)
+        want = sorted(primitive_signed(r) for r in rref(kernel)[0])
+        assert kernel_basis_primitive(rows, n) == tuple(want)
 
 
 class TestPermuteWeight:

@@ -6,6 +6,7 @@ import pytest
 
 from tropgen.fans import permute_weight, skeleton_membership
 from tropgen.generic import (
+    TransformSearchError,
     apply_transform,
     check_lineality,
     check_skeleton_equality,
@@ -13,8 +14,6 @@ from tropgen.generic import (
     gb_support_stability,
     generic_membership_map,
     normalized_grid,
-    perm_inverse,
-    permute_columns,
     random_transform,
     transform_ideal,
 )
@@ -42,6 +41,21 @@ def I(n, *texts):
     return Ideal.of(n, tuple(P(t, n) for t in texts))
 
 
+def permute_columns(g, perm):
+    """sigma(g): entry (i, j) of the result is g[i][sigma^{-1}(j)], so that
+    applying sigma(g) equals applying g then permuting variables by sigma."""
+    n = len(g)
+    inv = perm_inverse(perm)
+    return tuple(tuple(g[i][inv[j]] for j in range(n)) for i in range(n))
+
+
+def perm_inverse(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
+
+
 class TestRandomTransform:
     def test_deterministic(self):
         assert random_transform(3, 10, 42) == random_transform(3, 10, 42)
@@ -52,6 +66,11 @@ class TestRandomTransform:
             g = random_transform(3, 7, seed)
             assert det(g) != 0
             assert all(abs(x) <= 7 for row in g for x in row)
+
+    def test_no_invertible_sample_raises_a_named_error(self):
+        # with bound 0 every sample is the zero matrix
+        with pytest.raises(TransformSearchError):
+            random_transform(2, 0, 1)
 
     def test_n1(self):
         g = random_transform(1, 3, 0)

@@ -1,11 +1,13 @@
-"""Fourier-Motzkin feasibility against an exact brute-force oracle."""
+"""Fourier-Motzkin feasibility against an exact brute-force oracle, and
+ray-shooting facets against one full probe per row."""
 
 from itertools import product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropgen.halfspaces import feasible, find_point
+from tropgen.halfspaces import facets, feasible, find_point
 from tropgen.linalg import vec_dot
 
 BOX = 4
@@ -65,3 +67,47 @@ class TestFindPoint:
         eqs = [(1, 0), (0, 1)]
         assert find_point(2, equalities=eqs) == (0, 0)
         assert find_point(2, equalities=eqs, strict=[(1, 1)]) is None
+
+
+@st.composite
+def cones(draw):
+    """Distinct nonzero rows in {-1, 0, 1}^n, n <= 4: many rows meet in
+    low-dimensional faces, so rays often hit several rows at once."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
+    return n, draw(st.lists(row, min_size=1, max_size=8, unique=True))
+
+
+def probe(n, rows, r):
+    """The full facet probe: r tight, every other row strict."""
+    return find_point(n, equalities=[r], strict=[q for q in rows if q != r])
+
+
+def assert_relative_interior_points(rows, got):
+    for r, p in got.items():
+        assert all(isinstance(x, int) for x in p)
+        assert vec_dot(r, p) == 0
+        assert all(vec_dot(q, p) < 0 for q in rows if q != r)
+
+
+class TestFacets:
+    @given(cones())
+    @settings(max_examples=400, deadline=None)
+    def test_facets_are_the_rows_the_full_probe_accepts(self, case):
+        n, rows = case
+        assume(find_point(n, strict=rows) is not None)
+        got = facets(n, rows)
+        assert list(got) == [r for r in rows if probe(n, rows, r) is not None]
+        assert_relative_interior_points(rows, got)
+
+    def test_ray_through_an_edge(self):
+        # the ray from the interior point towards the first probe's point
+        # leaves through the edge where both rows vanish
+        rows = [(0, 0, 1), (0, 1, 1)]
+        got = facets(3, rows)
+        assert list(got) == rows
+        assert_relative_interior_points(rows, got)
+
+    def test_cone_without_interior_raises(self):
+        with pytest.raises(ValueError):
+            facets(2, [(1, 0), (-1, 0)])

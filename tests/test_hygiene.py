@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no public function or class is defined that the package never uses."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,54 @@ def test_detector_flags_unused_and_accepts_used():
               "from math import gcd, lcm\n"
               "print(json.dumps(gcd(4, 6)))\n")
     assert unused_imports(source) == ["lcm (line 3)", "os (line 1)"]
+
+
+# console-script entry points (pyproject.toml), called from outside
+ENTRY_POINTS = {"cli.main"}
+
+
+def uses_outside_definitions(sources: dict) -> dict:
+    """{module.name: referenced} for each public top-level function and
+    class of the {module: source} map.
+
+    A name is referenced when it appears as an identifier, an attribute
+    or an imported name anywhere in the sources other than inside the
+    definition itself.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    uses = []  # (name, module, enclosing top-level definition or None)
+    for mod, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    uses.append((node.id, mod, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.append((node.attr, mod, owner))
+                elif isinstance(node, ast.alias):
+                    uses.append((node.asname or node.name, mod, owner))
+    out = {}
+    for mod, tree in trees.items():
+        for top in tree.body:
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and not top.name.startswith("_")):
+                out[f"{mod}.{top.name}"] = any(
+                    name == top.name and (m, o) != (mod, top.name)
+                    for name, m, o in uses)
+    return out
+
+
+def test_every_public_definition_is_used_in_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unused = [name for name, used in uses_outside_definitions(sources).items()
+              if not used and name not in ENTRY_POINTS]
+    assert unused == []
+
+
+def test_usage_detector():
+    sources = {"a": ("def used():\n    return used()\n"
+                     "def recursive_only():\n    return recursive_only()\n"
+                     "class _Private:\n    pass\n"),
+               "b": "from .a import used\nprint(used)\n"}
+    assert uses_outside_definitions(sources) == {
+        "a.used": True, "a.recursive_only": False}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgen import groebner, weights
+from tropgen import groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone
 from tropgen.generic import (
     normalized_grid,
@@ -356,6 +356,22 @@ class TestWorkCounts:
             mm.query(w)
         bases = len(weight_gb_calls)
         assert bases <= len(enumerate_groebner_fan(J).cones)
+
+    def test_fan_walk_probes_few_rows_with_an_equality(self, monkeypatch):
+        # facets come from ray shooting, whose tests hold no equality; only
+        # a ray that hits several rows at once probes one row as an
+        # equality with every other row strict (780 probes when every row
+        # was probed that way)
+        probes = []
+
+        def counting(n, equalities=(), nonstrict=(), strict=()):
+            probes.append(bool(equalities))
+            return find_point(n, equalities, nonstrict, strict)
+
+        monkeypatch.setattr(halfspaces, "find_point", counting)
+        fan = enumerate_groebner_fan(transformed_corpus_ideal("ci_n4_dim2"))
+        assert len(fan.cones) == 36
+        assert sum(probes) == 14
 
     def test_fan_walk_solves_each_weight_once(self, weight_gb_calls,
                                               buchberger_calls):
