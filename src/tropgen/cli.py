@@ -6,10 +6,10 @@ runs with the same input, seed and flags.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
-TROPGEN_BUDGET that is not an integer >= 1 is one, and so are --grid
-below 0 and --trials or --bound below 1), 3 improper ideal
-(contains a unit), 4 persistent transform disagreement or no suitable
-random transform within --bound, 5 fan budget exceeded.
+TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials or
+--bound below 1, a matrix without 1 <= r <= n - 1 independent rows), 3
+improper ideal (contains a unit), 4 persistent transform disagreement or
+no suitable random transform within --bound, 5 fan budget exceeded.
 """
 
 from __future__ import annotations
@@ -192,12 +192,6 @@ def _monomial_certificate(ideal, w):
     return None
 
 
-def _format_monomial(e):
-    parts = [f"x{i + 1}" + (f"^{k}" if k > 1 else "")
-             for i, k in enumerate(e) if k]
-    return "*".join(parts) if parts else "1"
-
-
 def cmd_member(args) -> int:
     ideal = _load_ideal(args.ideal)
     w = _parse_weight(args.weight, ideal.n)
@@ -209,7 +203,8 @@ def cmd_member(args) -> int:
         cert = _monomial_certificate(ideal, w)
         if cert is not None:
             report["certificate"] = list(cert)
-            lines.append(f"certificate monomial: {_format_monomial(cert)}")
+            monomial = Polynomial(ideal.n, ((cert, QQ(1)),))
+            lines.append(f"certificate monomial: {monomial}")
     _emit(args, report, lines)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from itertools import permutations, product
 
 from .fans import permute_weight, skeleton_membership
 from .groebner import reduced_gb
-from .linalg import QQ, det
+from .linalg import QQ, rank
 from .poly import GRLEX, Ideal, Polynomial, TermOrder
 from .weights import MembershipMap, normalize_grid_point
 
@@ -40,9 +40,9 @@ def random_transform(n: int, bound: int, seed: int):
     """Invertible n x n integer matrix with entries in [-bound, bound]."""
     rng = random.Random(seed)
     for _ in range(1000):
-        g = tuple(tuple(QQ(rng.randint(-bound, bound)) for _ in range(n))
+        g = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                   for _ in range(n))
-        if det(g) != 0:
+        if rank(g) == n:
             return g
     raise TransformSearchError(
         f"no invertible {n} x {n} matrix with entries in [-{bound}, {bound}] "
@@ -53,7 +53,7 @@ def apply_transform(p: Polynomial, g) -> Polynomial:
     """Substitute x_i -> sum_j g[i][j] x_j."""
     n = p.n
     images = [Polynomial.from_dict(
-        n, {tuple(1 if k == j else 0 for k in range(n)): g[i][j]
+        n, {tuple(1 if k == j else 0 for k in range(n)): QQ(g[i][j])
             for j in range(n) if g[i][j] != 0}) for i in range(n)]
     power_cache = {}
 
@@ -99,7 +99,6 @@ class GenericityReport:
     trials: int
     bound: int
     grid_radius: int
-    grid: tuple = ()
     transforms: tuple = ()  # transforms of the agreeing round
     membership: dict = field(default_factory=dict)
     agreed: bool = False
@@ -115,8 +114,7 @@ class GenericityReport:
             "bounds_used": list(self.escalations),
             "retries": self.retries,
             "agreed": self.agreed,
-            "transforms": [[[int(x) for x in row] for row in g]
-                           for g in self.transforms],
+            "transforms": [[list(row) for row in g] for g in self.transforms],
             "membership": [[list(w), v]
                            for w, v in sorted(self.membership.items())],
         }
@@ -139,8 +137,7 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
     n = ideal.n
     points = normalized_grid(n, grid_radius)
     report = GenericityReport(ideal=ideal, seed=seed, trials=trials,
-                              bound=bound, grid_radius=grid_radius,
-                              grid=points)
+                              bound=bound, grid_radius=grid_radius)
     current = bound
     for escalation in range(4):
         report.escalations.append(current)

@@ -1,7 +1,9 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
 Everything here is arbitrary precision.  Matrices are tuples of row tuples
-and ``QQ``, the rational type used throughout, is ``fractions.Fraction``.
+of ints or ``QQ`` (``fractions.Fraction``).  The one elimination is the
+fraction-free ``echelon``; rank, RREF and kernels are read off it, and a
+square matrix is invertible when it has full rank, so no determinant.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ def mat_mul(a, b):
     return tuple(tuple(vec_dot(row, col) for col in cols) for row in a)
 
 
-def identity(n):
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def rref(rows):
     """Reduced row echelon form: (nonzero rows as tuples of QQ, pivot
     columns), the rows of echelon() divided by their pivots."""
@@ -39,32 +37,6 @@ def rref(rows):
 
 def rank(rows):
     return len(echelon(rows, len(rows[0]))[0]) if rows else 0
-
-
-def det(matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination of the
-    rows scaled to integers: each step a_ij <- (a_ij a_kk - a_ik a_kj) / p,
-    p the previous pivot, leaves a minor, so every division is exact."""
-    work, scale = [], 1
-    for row in matrix:
-        d = lcm(*(x.denominator for x in row))
-        work.append([int(x * d) for x in row])
-        scale *= d
-    n, sign, prev = len(work), 1, 1
-    for k in range(n - 1):
-        if not work[k][k]:
-            i = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if i is None:
-                return ZERO
-            work[k], work[i] = work[i], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            wi, wik = work[i], work[i][k]
-            for j in range(k + 1, n):
-                wi[j] = (wi[j] * pivot - wik * work[k][j]) // prev
-        prev = pivot
-    return QQ(sign * work[-1][-1], scale) if n else ONE
 
 
 def primitive(vec):

@@ -139,9 +139,6 @@ class Polynomial:
             return Polynomial.zero(n)
         return Polynomial(n, (((0,) * n, c),))
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -335,6 +332,8 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         e = tuple(exp)
         coeffs[e] = coeffs.get(e, ZERO) + coeff
         expect_term = False
+        if i < len(tokens) and tokens[i][0] not in ("+", "-"):
+            raise ParseError("expected '+' or '-'", tokens[i][1])
     if expect_term:
         raise ParseError("dangling sign", len(text))
     return Polynomial.from_dict(n, coeffs)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .fans import Cone, build_W, make_cone, same_cone, skeleton_membership
 from .generic import (
@@ -36,7 +36,7 @@ from .generic import (
     trial_seed,
 )
 from .groebner import krull_dimension
-from .linalg import QQ, ZERO, det, identity, mat_mul, rank, rref
+from .linalg import QQ, mat_mul, rank, rref
 from .poly import Ideal, ParseError, Polynomial
 from .weights import (
     MembershipMap,
@@ -57,21 +57,10 @@ def pure_power_coefficients(f: Polynomial, g) -> tuple:
     x_k^d gives  P_k = sum_nu a_nu prod_i g[i][k]^{nu_i}  over the terms
     a_nu x^nu of f; no other source contributes to x_k^d.
     """
-    d = f.homogeneous_degree()
-    if d is None:
+    if f.homogeneous_degree() is None:
         raise ValueError("polynomial must be homogeneous")
-    n = f.n
-    out = []
-    for k in range(n):
-        total = ZERO
-        for e, c in f.terms:
-            prod = c
-            for i, nu in enumerate(e):
-                if nu:
-                    prod *= QQ(g[i][k]) ** nu
-            total += prod
-        out.append(total)
-    return tuple(out)
+    return tuple(sum(c * prod(g[i][k] ** nu for i, nu in enumerate(e))
+                     for e, c in f.terms) for k in range(f.n))
 
 
 def full_support_transform(f: Polynomial, bound: int, seed: int,
@@ -196,15 +185,12 @@ def gauss_reduce_report(A: LinearIdealMatrix):
     return permuted, perm
 
 
-def check_minors(A: LinearIdealMatrix, g) -> bool:
-    """All C(n, r) maximal minors of A*g nonzero (exact determinants)."""
-    prod = mat_mul(A.rows, g)
-    r = len(A.rows)
-    for cols in combinations(range(A.n), r):
-        sub = [[row[c] for c in cols] for row in prod]
-        if det(sub) == 0:
-            return False
-    return True
+def check_minors(rows, n) -> bool:
+    """All C(n, r) maximal minors of the r x n matrix nonzero: every choice
+    of r columns has rank r."""
+    r = len(rows)
+    return all(rank([[row[c] for c in cols] for row in rows]) == r
+               for cols in combinations(range(n), r))
 
 
 def right_block_nonzero(reduced, n) -> bool:
@@ -215,7 +201,8 @@ def right_block_nonzero(reduced, n) -> bool:
 
 def parse_matrix_file(text: str) -> LinearIdealMatrix:
     """Matrix file: 'matrix: r n' header, then r whitespace-separated rows
-    of rationals; '#' lines are comments."""
+    of rationals, linearly independent with 1 <= r <= n - 1 (a proper
+    linear ideal of dimension n - r >= 1); '#' lines are comments."""
     header = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,6 +233,9 @@ def parse_matrix_file(text: str) -> LinearIdealMatrix:
         raise ParseError("missing 'matrix: r n' header", 0)
     if len(rows) != header[0]:
         raise ParseError(f"expected {header[0]} rows, got {len(rows)}", 0)
+    if not 0 < rank(rows) == len(rows) < header[1]:
+        raise ParseError(f"need 1 <= r <= n - 1 linearly independent rows, "
+                         f"got {len(rows)} of rank {rank(rows)}", 0)
     return LinearIdealMatrix.of(rows, header[1])
 
 
@@ -260,7 +250,7 @@ def linear_groebner_cone(A_red, n, w) -> Cone:
         raise ValueError("rank must be between 1 and n-1")
     if not right_block_nonzero(A_red, n):
         raise NonGenericMatrixError("a right-block entry vanishes")
-    if not check_minors(LinearIdealMatrix.of(A_red, n), identity(n)):
+    if not check_minors(A_red, n):
         raise NonGenericMatrixError("a maximal minor vanishes")
     order = sorted(range(n), key=lambda i: (w[i], i))
     values = [w[i] for i in order]
@@ -371,14 +361,14 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
         for attempt in range(50):
             g = random_transform(n, bound,
                                  trial_seed(seed, trial) * 31 + attempt)
-            if check_minors(A, g):
+            Ag = mat_mul(A.rows, g)
+            if check_minors(Ag, n):
                 break
         else:
             report.minors_nonzero = False
             report.mismatches.append(("minors", trial))
             continue
-        Ag = LinearIdealMatrix.of(mat_mul(A.rows, g), n)
-        reduced, perm = gauss_reduce_report(Ag)
+        reduced, perm = gauss_reduce_report(LinearIdealMatrix.of(Ag, n))
         if perm != tuple(range(n)) or not right_block_nonzero(reduced, n):
             report.minors_nonzero = False
             report.mismatches.append(("right_block", trial))

@@ -222,11 +222,12 @@ def normalize_grid_point(w):
 
 
 class MembershipMap:
-    """Lazy tropical membership over integer weights, cached per normalized
-    weight, per relatively open Groebner cone (membership is constant
-    there) and per marked reduced basis, so at most one Buchberger run per
-    maximal Groebner cone.  Rational weights raise TypeError (see
-    normalize_grid_point); use in_tropical_variety for them.
+    """Lazy tropical membership over integer weights, cached per relatively
+    open Groebner cone (membership is constant there, and the cone found for
+    a normalized weight holds it in its relative interior) and per marked
+    reduced basis, so at most one Buchberger run per maximal Groebner cone.
+    Rational weights raise TypeError (see normalize_grid_point); use
+    in_tropical_variety for them.
 
     A stored basis G, reduced for an order <', is reused at a weight whose
     refined order < marks the same head on every element: the heads then
@@ -242,18 +243,14 @@ class MembershipMap:
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self._points: dict = {}
         self._cones: list = []  # (cone, verdict), most recently used first
         self._bases: list = []  # MarkedGB, most recently used first
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
-        if key in self._points:
-            return self._points[key]
         for i, (cone, verdict) in enumerate(self._cones):
             if relative_interior_contains(cone, key):
                 self._cones.insert(0, self._cones.pop(i))
-                self._points[key] = verdict
                 return verdict
         order = weight_order(key)
         for i, gb in enumerate(self._bases):
@@ -267,5 +264,4 @@ class MembershipMap:
         verdict = _no_monomial_initial(gb, key)
         cone = groebner_cone(gb, key)
         self._cones.insert(0, (cone, verdict))
-        self._points[key] = verdict
         return verdict

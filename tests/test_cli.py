@@ -205,6 +205,22 @@ class TestLinear:
         data = json.loads(out)
         assert data["cone"]["inequalities"] == [[1, -1, 0], [1, 0, -1]]
 
+    @pytest.mark.parametrize("text", [
+        "matrix: 0 3\n",                      # no generator
+        "matrix: 2 3\n1 2 3\n0 0 0\n",        # a zero row
+        "matrix: 2 3\n1 1 1\n2 2 2\n",        # rank 1, not 2
+        "matrix: 3 3\n1 0 0\n0 1 0\n0 0 1\n",  # rank n: no rank r <= n-1
+    ])
+    @pytest.mark.parametrize("weight", [(), ("-w", "0,1,2")])
+    def test_rows_not_independent_with_r_below_n_exit_2(self, capsys, tmp_path,
+                                                          text, weight):
+        f = tmp_path / "m.matrix"
+        f.write_text(text)
+        code, out, err = run(capsys, "linear", str(f), *weight,
+                             "--trials", "1", "--grid", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "linearly independent" in err
+
 
 class TestPrincipal:
     def test_pass(self, capsys):

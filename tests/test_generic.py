@@ -18,9 +18,11 @@ from tropgen.generic import (
     transform_ideal,
 )
 from tropgen.groebner import krull_dimension, reduced_gb
-from tropgen.linalg import QQ, det, mat_mul
+from tropgen.linalg import QQ
 from tropgen.poly import GRLEX, Ideal, parse_polynomial
 from tropgen.weights import MembershipMap, normalize_grid_point
+
+from test_fans import leibniz_det
 
 
 def P(text, n):
@@ -31,8 +33,8 @@ def mat_inverse(g):
     """Inverse by cofactors: entry (i, j) is (-1)^(i+j) times the
     determinant of g without row j and column i, over det(g)."""
     n = len(g)
-    d = det(g)
-    return tuple(tuple((-1) ** (i + j) * det([
+    d = leibniz_det(g)
+    return tuple(tuple((-1) ** (i + j) * leibniz_det([
         [g[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
         / d for j in range(n)) for i in range(n))
 
@@ -64,8 +66,13 @@ class TestRandomTransform:
     def test_invertible_and_bounded(self):
         for seed in range(5):
             g = random_transform(3, 7, seed)
-            assert det(g) != 0
+            assert leibniz_det(g) != 0
             assert all(abs(x) <= 7 for row in g for x in row)
+
+    def test_entries_are_ints(self):
+        for n, seed in [(1, 0), (3, 42), (4, 1)]:
+            g = random_transform(n, 50, seed)
+            assert all(type(x) is int for row in g for x in row)
 
     def test_no_invertible_sample_raises_a_named_error(self):
         # with bound 0 every sample is the zero matrix
@@ -79,10 +86,8 @@ class TestRandomTransform:
 
 class TestApplyTransform:
     def test_identity(self):
-        from tropgen.linalg import identity
-
         f = P("x1^2 + x2*x3", 3)
-        assert apply_transform(f, identity(3)) == f
+        assert apply_transform(f, ((1, 0, 0), (0, 1, 0), (0, 0, 1))) == f
 
     def test_swap(self):
         g = ((QQ(0), QQ(1)), (QQ(1), QQ(0)))

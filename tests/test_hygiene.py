@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no public function or class is defined that the package never uses."""
+and no public function, class or method is defined that the package never
+uses."""
 
 import ast
 from pathlib import Path
@@ -55,34 +56,46 @@ def test_detector_flags_unused_and_accepts_used():
 ENTRY_POINTS = {"cli.main"}
 
 
+def public_definitions(mod: str, tree):
+    """(label, node) for each public top-level function and class of a
+    module, and each public non-dunder method of its top-level classes,
+    labelled module.name and module.Class.name."""
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not top.name.startswith("_"):
+            yield f"{mod}.{top.name}", top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield f"{mod}.{top.name}.{node.name}", node
+
+
 def uses_outside_definitions(sources: dict) -> dict:
-    """{module.name: referenced} for each public top-level function and
-    class of the {module: source} map.
+    """{label: referenced} for each public definition (public_definitions)
+    of the {module: source} map.
 
     A name is referenced when it appears as an identifier, an attribute
     or an imported name anywhere in the sources other than inside the
     definition itself.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    uses = []  # (name, module, enclosing top-level definition or None)
-    for mod, tree in trees.items():
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    uses.append((node.id, mod, owner))
-                elif isinstance(node, ast.Attribute):
-                    uses.append((node.attr, mod, owner))
-                elif isinstance(node, ast.alias):
-                    uses.append((node.asname or node.name, mod, owner))
+    refs = {}  # name -> ids of the nodes referencing it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(id(node))
+            elif isinstance(node, ast.alias):
+                refs.setdefault(node.asname or node.name, []).append(id(node))
     out = {}
     for mod, tree in trees.items():
-        for top in tree.body:
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and not top.name.startswith("_")):
-                out[f"{mod}.{top.name}"] = any(
-                    name == top.name and (m, o) != (mod, top.name)
-                    for name, m, o in uses)
+        for label, definition in public_definitions(mod, tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            out[label] = any(i not in inside
+                             for i in refs.get(definition.name, ()))
     return out
 
 
@@ -100,3 +113,16 @@ def test_usage_detector():
                "b": "from .a import used\nprint(used)\n"}
     assert uses_outside_definitions(sources) == {
         "a.used": True, "a.recursive_only": False}
+
+
+def test_method_usage_detector():
+    sources = {"a": ("class Shape:\n"
+                     "    def area(self):\n        return self.area()\n"
+                     "    def scaled(self):\n        return self\n"
+                     "    def named(self):\n        return 'shape'\n"
+                     "    def _private(self):\n        return 1\n"
+                     "    def __repr__(self):\n        return self.named()\n"),
+               "b": "from .a import Shape\nprint(Shape().scaled)\n"}
+    assert uses_outside_definitions(sources) == {
+        "a.Shape": True, "a.Shape.area": False, "a.Shape.scaled": True,
+        "a.Shape.named": True}

@@ -28,16 +28,16 @@ def P(text, n):
 class TestParsing:
     def test_simple_terms(self):
         p = P("x1^2 + 2*x1*x2 - 3/2*x2^2", 2)
-        assert p.as_dict() == {(2, 0): QQ(1), (1, 1): QQ(2), (0, 2): QQ(-3, 2)}
+        assert dict(p.terms) == {(2, 0): QQ(1), (1, 1): QQ(2), (0, 2): QQ(-3, 2)}
 
     def test_leading_minus(self):
-        assert P("-x1 + x2", 2).as_dict() == {(1, 0): QQ(-1), (0, 1): QQ(1)}
+        assert dict(P("-x1 + x2", 2).terms) == {(1, 0): QQ(-1), (0, 1): QQ(1)}
 
     def test_repeated_variable_factors(self):
-        assert P("x1*x1^2", 2).as_dict() == {(3, 0): QQ(1)}
+        assert dict(P("x1*x1^2", 2).terms) == {(3, 0): QQ(1)}
 
     def test_coefficient_only_term(self):
-        assert P("3", 1).as_dict() == {(0,): QQ(3)}
+        assert dict(P("3", 1).terms) == {(0,): QQ(3)}
 
     def test_cancellation_to_zero(self):
         assert P("x1 - x1", 2).is_zero
@@ -50,6 +50,16 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             P(bad, 2)
+
+    @pytest.mark.parametrize("text, position", [
+        ("x1x2", 2), ("2 3", 2), ("0x1", 1), ("x1^2 x2", 5),
+        ("x1 + 3/2 x2", 9), ("x1 ^ 2 3", 7)])
+    def test_rejects_juxtaposed_terms(self, text, position):
+        # summing juxtaposed terms would read x1x2 as x1 + x2, 2 3 as 5 and
+        # 0x1 as x1: a different ideal from the one written
+        with pytest.raises(ParseError, match="expected '\\+' or '-'") as err:
+            P(text, 2)
+        assert err.value.position == position
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:

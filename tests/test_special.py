@@ -6,7 +6,7 @@ import pytest
 
 from tropgen.fans import same_cone
 from tropgen.generic import random_transform
-from tropgen.linalg import QQ, identity, mat_mul, rank
+from tropgen.linalg import QQ, mat_mul, rank
 from tropgen.poly import ParseError, parse_polynomial
 from tropgen.special import (
     LinearIdealMatrix,
@@ -32,7 +32,7 @@ def P(text, n):
 
 class TestPurePowers:
     def test_identity(self):
-        assert pure_power_coefficients(P("x1", 2), identity(2)) == (QQ(1), QQ(0))
+        assert pure_power_coefficients(P("x1", 2), ((1, 0), (0, 1))) == (QQ(1), QQ(0))
 
     def test_hand_expansion(self):
         g = ((QQ(1), QQ(1)), (QQ(1), QQ(-1)))
@@ -48,7 +48,7 @@ class TestPurePowers:
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
-            pure_power_coefficients(P("x1 + x1^2", 2), identity(2))
+            pure_power_coefficients(P("x1 + x1^2", 2), ((1, 0), (0, 1)))
 
     def test_matches_full_expansion(self):
         from tropgen.generic import apply_transform
@@ -121,14 +121,16 @@ class TestGaussReduce:
 
 class TestMinors:
     def test_identity_cases(self):
-        A = LinearIdealMatrix.of([(1, 0), (0, 1)], 2)
-        assert check_minors(A, identity(2))
-        B = LinearIdealMatrix.of([(1, 0)], 2)
-        assert not check_minors(B, identity(2))
+        assert check_minors(((1, 0), (0, 1)), 2)
+        assert not check_minors(((1, 0),), 2)
+
+    def test_dependent_rows_have_no_nonzero_maximal_minor(self):
+        assert not check_minors(((1, 1, 1), (2, 2, 2)), 3)
 
     def test_random_generic(self):
         A = LinearIdealMatrix.of([(1, 1, 1, 1), (1, 2, 3, 4)], 4)
-        hits = sum(check_minors(A, random_transform(4, 50, s)) for s in range(5))
+        hits = sum(check_minors(mat_mul(A.rows, random_transform(4, 50, s)), 4)
+                   for s in range(5))
         assert hits >= 4  # non-generic draws are rare
 
     def test_rank_invariance(self):
@@ -144,7 +146,10 @@ class TestMatrixFile:
         assert A.rows[1][1] == QQ(1, 2)
 
     @pytest.mark.parametrize("bad", [
-        "", "1 2 3\n", "matrix: 2 3\n1 2 3\n", "matrix: 1 2\n1 x\n"])
+        "", "1 2 3\n", "matrix: 2 3\n1 2 3\n", "matrix: 1 2\n1 x\n",
+        # rows must be 1 <= r <= n - 1 linearly independent ones
+        "matrix: 0 3\n", "matrix: 2 3\n1 2 3\n0 0 0\n",
+        "matrix: 2 3\n1 1 1\n2 2 2\n", "matrix: 3 3\n1 0 0\n0 1 0\n0 0 1\n"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_matrix_file(bad)

@@ -346,6 +346,18 @@ class TestWorkCounts:
         assert misses == 19
         assert len(weight_gb_calls) == 9
 
+    def test_repeated_key_is_answered_by_its_cone(self, weight_gb_calls):
+        # w, w + c*(1,..,1) and 2w share one normalized key, which lies in
+        # the relative interior of the cone stored for it
+        mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
+        for w in [(0, 1, 3), (1, 1, 2), (0, 0, 0), (2, 0, 1), (0, 0, 1)]:
+            verdict = mm.query(w)
+            cones, calls = len(mm._cones), len(weight_gb_calls)
+            for again in (tuple(x - 2 for x in w), tuple(x + 5 for x in w),
+                          tuple(2 * x for x in w)):
+                assert mm.query(again) == verdict, (w, again)
+            assert (len(mm._cones), len(weight_gb_calls)) == (cones, calls)
+
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_membership_map_at_most_one_basis_per_cone(self, name,
                                                        weight_gb_calls):
