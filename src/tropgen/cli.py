@@ -8,8 +8,10 @@ Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials or
 --bound below 1, a matrix without 1 <= r <= n - 1 independent rows), 3
-improper ideal (contains a unit), 4 persistent transform disagreement or
-no suitable random transform within --bound, 5 fan budget exceeded.
+improper ideal (contains a unit) or, for linear -w, a matrix that fails
+the closed form's genericity condition (a vanishing right-block entry or
+maximal minor), 4 persistent transform disagreement or no suitable random
+transform within --bound, 5 fan budget exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .generic import (
     generic_membership_map,
 )
 from .groebner import krull_dimension, normal_form, reduced_gb
-from .linalg import QQ
+from .linalg import QQ, rref
 from .poly import (
     GRLEX,
     Ideal,
@@ -47,8 +49,8 @@ from .poly import (
 from .special import (
     NonGenericMatrixError,
     check_linear_theorem,
+    check_minors,
     check_principal_theorem,
-    gauss_reduce_report,
     linear_groebner_cone,
     parse_matrix_file,
     right_block_nonzero,
@@ -271,30 +273,40 @@ def cmd_fan(args) -> int:
 def cmd_linear(args) -> int:
     try:
         with open(args.matrix) as fh:
-            A = parse_matrix_file(fh.read())
+            rows = parse_matrix_file(fh.read())
     except OSError as exc:
         raise ParseError(str(exc), 0)
-    reduced, perm = gauss_reduce_report(A)
+    n = len(rows[0])
+    reduced, pivots = rref(rows)
+    r = len(reduced)
+    perm = pivots + tuple(c for c in range(n) if c not in pivots)
+    reduced = tuple(tuple(row[c] for c in perm) for row in reduced)
+    block_nonzero = right_block_nonzero(reduced, n)
     report = _base_report(args)
     report.update({
         "command": "linear",
-        "n": A.n,
-        "rank": A.rank,
-        "dim": A.n - A.rank,
+        "n": n,
+        "rank": r,
+        "dim": n - r,
         "reduced": [[str(x) for x in row] for row in reduced],
         "column_permutation": [p + 1 for p in perm],
-        "right_block_nonzero": right_block_nonzero(reduced, A.n),
+        "right_block_nonzero": block_nonzero,
     })
-    lines = [f"rank = {A.rank}, dim = {A.n - A.rank}"]
+    lines = [f"rank = {r}, dim = {n - r}"]
     if args.weight is not None:
-        w = _parse_weight(args.weight, A.n)
-        cone = linear_groebner_cone(reduced, A.n, w)
+        w = _parse_weight(args.weight, n)
+        # the closed form's precondition, checked once
+        if not block_nonzero:
+            raise NonGenericMatrixError("a right-block entry vanishes")
+        if not check_minors(reduced, n):
+            raise NonGenericMatrixError("a maximal minor vanishes")
+        cone = linear_groebner_cone(r, n, w)
         report["cone"] = cone_to_jsonable(cone)
         lines.append(f"cone at {w}: {len(cone.equalities)} equalities, "
                      f"{len(cone.inequalities)} inequalities")
         _emit(args, report, lines)
         return EXIT_OK
-    result = check_linear_theorem(A, trials=args.trials, seed=args.seed,
+    result = check_linear_theorem(rows, trials=args.trials, seed=args.seed,
                                   bound=args.bound, radius=args.grid)
     report["checks"] = result.to_jsonable()
     report["all_passed"] = result.ok

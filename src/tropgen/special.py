@@ -15,6 +15,11 @@ position r:
     cone fixes that plateau E as equalities, keeping the strictly smaller
     block B below it and the rest above.
 
+So the closed-form cone depends on (r, n, w) only; genericity is checked
+once per matrix, not per weight.  Matrix rows are scaled to primitive
+integer rows at parse time, which changes neither the ideal nor its
+reported RREF.
+
 The generic tropical variety is again a skeleton: W(n)^m with m = n - r.
 """
 
@@ -36,7 +41,7 @@ from .generic import (
     trial_seed,
 )
 from .groebner import krull_dimension
-from .linalg import QQ, mat_mul, rank, rref
+from .linalg import QQ, mat_mul, primitive, rank, rref
 from .poly import Ideal, ParseError, Polynomial
 from .weights import (
     MembershipMap,
@@ -151,38 +156,13 @@ def _fan_equals_W(ideal: Ideal):
 # ---------------------------------------------------------------------------
 # linear ideals
 
-@dataclass(frozen=True)
-class LinearIdealMatrix:
-    """Coefficient matrix of an ideal generated by linear forms."""
-
-    n: int
-    rows: tuple  # QQ row tuples
-
-    @staticmethod
-    def of(rows, n) -> "LinearIdealMatrix":
-        return LinearIdealMatrix(n, tuple(tuple(QQ(x) for x in row)
-                                          for row in rows))
-
-    @property
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def to_ideal(self) -> Ideal:
-        gens = []
-        for row in self.rows:
-            coeffs = {tuple(1 if j == i else 0 for j in range(self.n)): QQ(c)
-                      for i, c in enumerate(row) if c != 0}
-            if coeffs:
-                gens.append(Polynomial.from_dict(self.n, coeffs))
-        return Ideal.of(self.n, tuple(gens))
-
-
-def gauss_reduce_report(A: LinearIdealMatrix):
-    """(reduced matrix in [I_r | *] form, column permutation applied)."""
-    reduced, pivots = rref(A.rows)
-    perm = tuple(pivots) + tuple(c for c in range(A.n) if c not in pivots)
-    permuted = tuple(tuple(row[c] for c in perm) for row in reduced)
-    return permuted, perm
+def linear_ideal(rows) -> Ideal:
+    """The ideal generated by the linear forms with these coefficient rows."""
+    n = len(rows[0])
+    return Ideal.of(n, tuple(
+        Polynomial.from_dict(n, {tuple(int(j == i) for j in range(n)): QQ(c)
+                                 for i, c in enumerate(row) if c})
+        for row in rows))
 
 
 def check_minors(rows, n) -> bool:
@@ -199,10 +179,13 @@ def right_block_nonzero(reduced, n) -> bool:
     return all(reduced[i][j] != 0 for i in range(r) for j in range(r, n))
 
 
-def parse_matrix_file(text: str) -> LinearIdealMatrix:
+def parse_matrix_file(text: str) -> tuple:
     """Matrix file: 'matrix: r n' header, then r whitespace-separated rows
     of rationals, linearly independent with 1 <= r <= n - 1 (a proper
-    linear ideal of dimension n - r >= 1); '#' lines are comments."""
+    linear ideal of dimension n - r >= 1); '#' lines are comments.
+
+    Returns the rows scaled to primitive integer rows, which changes
+    neither the ideal nor its RREF."""
     header = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -236,22 +219,21 @@ def parse_matrix_file(text: str) -> LinearIdealMatrix:
     if not 0 < rank(rows) == len(rows) < header[1]:
         raise ParseError(f"need 1 <= r <= n - 1 linearly independent rows, "
                          f"got {len(rows)} of rank {rank(rows)}", 0)
-    return LinearIdealMatrix.of(rows, header[1])
+    return tuple(map(primitive, rows))
 
 
-def linear_groebner_cone(A_red, n, w) -> Cone:
-    """Closed-form Groebner cone at w of a generic rank-r linear ideal.
+def linear_groebner_cone(r, n, w) -> Cone:
+    """Closed-form Groebner cone at w of a generic rank-r linear ideal in
+    n variables.
 
-    Requires all maximal minors of the reduced matrix nonzero.  With
-    r = rank, sort the coordinates of w; the cone is determined by the
-    block structure around position r (see module docstring)."""
-    r = len(A_red)
+    Precondition, not checked here: the ideal's matrix is generic, that
+    is its reduced form is [I_r | *] with every * entry nonzero
+    (right_block_nonzero) and every maximal minor nonzero (check_minors).
+    Then the cone depends on (r, n, w) only: sort the coordinates of w;
+    the block structure around position r decides (see module
+    docstring)."""
     if not 1 <= r <= n - 1:
         raise ValueError("rank must be between 1 and n-1")
-    if not right_block_nonzero(A_red, n):
-        raise NonGenericMatrixError("a right-block entry vanishes")
-    if not check_minors(A_red, n):
-        raise NonGenericMatrixError("a maximal minor vanishes")
     order = sorted(range(n), key=lambda i: (w[i], i))
     values = [w[i] for i in order]
     if values[r - 1] < values[r]:
@@ -332,10 +314,10 @@ class LinearReport:
         }
 
 
-def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
-                         seed: int = 1, bound: int = 50,
-                         radius: int = 2, n_weights: int = 20) -> LinearReport:
-    """Run the linear-ideal checks for one coefficient matrix.
+def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
+                         bound: int = 50, radius: int = 2,
+                         n_weights: int = 20) -> LinearReport:
+    """Run the linear-ideal checks for one coefficient matrix A (its rows).
 
     (a) n - rank(A) equals the Krull dimension of the ideal; (b) for
     random transforms g, all maximal minors of A*g and all right-block
@@ -346,9 +328,9 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
     """
     import random as _random
 
-    n, r = A.n, A.rank
+    n, r = len(rows[0]), rank(rows)
     m = n - r
-    ideal = A.to_ideal()
+    ideal = linear_ideal(rows)
     report = LinearReport()
 
     if krull_dimension(ideal) != m:
@@ -361,15 +343,15 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
         for attempt in range(50):
             g = random_transform(n, bound,
                                  trial_seed(seed, trial) * 31 + attempt)
-            Ag = mat_mul(A.rows, g)
+            Ag = mat_mul(rows, g)
             if check_minors(Ag, n):
                 break
         else:
             report.minors_nonzero = False
             report.mismatches.append(("minors", trial))
             continue
-        reduced, perm = gauss_reduce_report(LinearIdealMatrix.of(Ag, n))
-        if perm != tuple(range(n)) or not right_block_nonzero(reduced, n):
+        reduced, pivots = rref(Ag)
+        if pivots != tuple(range(r)) or not right_block_nonzero(reduced, n):
             report.minors_nonzero = False
             report.mismatches.append(("right_block", trial))
             continue
@@ -377,10 +359,11 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
             generic_rows = reduced
 
     if generic_rows is not None:
-        lin_ideal = LinearIdealMatrix.of(generic_rows, n).to_ideal()
+        # generic: the closed form's precondition holds for this ideal
+        lin_ideal = linear_ideal(generic_rows)
         for _ in range(n_weights):
             w = tuple(rng.randint(-3, 3) for _ in range(n))
-            closed = linear_groebner_cone(generic_rows, n, w)
+            closed = linear_groebner_cone(r, n, w)
             engine = groebner_cone(weight_gb(lin_ideal, w), w)
             if not same_cone(closed, engine):
                 report.cones_agree = False
@@ -400,7 +383,7 @@ def check_linear_theorem(A: LinearIdealMatrix, trials: int = 3,
         for E in combinations(range(n), r + 1):
             w = tuple(0 if i in E else 1 for i in range(n))
             w_cone = next(c for c in build_W(n).cones if c.label == tuple(E))
-            if not same_cone(linear_groebner_cone(generic_rows, n, w), w_cone):
+            if not same_cone(linear_groebner_cone(r, n, w), w_cone):
                 report.skeleton_cones_found = False
                 report.mismatches.append(("skeleton_cone", E))
     return report

@@ -39,7 +39,6 @@ from .poly import (
     weight_order,
 )
 from .special import (
-    LinearIdealMatrix,
     check_linear_theorem,
     check_principal_theorem,
     linear_fan_census,
@@ -212,8 +211,7 @@ class VerifySession:
         for idx in range(10):
             r = idx % 3 + 1
             rows = _random_full_rank(rng, r, n)
-            A = LinearIdealMatrix.of(rows, n)
-            report = check_linear_theorem(A, trials=self.trials,
+            report = check_linear_theorem(rows, trials=self.trials,
                                           seed=self.seed + idx,
                                           bound=self.bound, radius=self.grid,
                                           n_weights=20)
@@ -316,7 +314,7 @@ def _random_full_rank(rng, r, n):
     from .linalg import rank as _rank
 
     while True:
-        rows = tuple(tuple(QQ(rng.randint(-5, 5)) for _ in range(n))
+        rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                      for _ in range(r))
         if _rank(rows) == r:
             return rows

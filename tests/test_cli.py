@@ -221,6 +221,30 @@ class TestLinear:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "linearly independent" in err
 
+    def test_non_generic_rejected(self, capsys, tmp_path):
+        # exit code 3 also covers a matrix that fails the closed form's
+        # genericity condition; the right block is checked first
+        f = tmp_path / "m.matrix"
+        block, minor = "a right-block entry vanishes", "a maximal minor vanishes"
+        for text, weight, message in [
+                ("matrix: 1 3\n0 1 1\n", "0,1,2", block),
+                ("matrix: 2 3\n1 0 1\n0 1 0\n", "0,1,2", block),
+                ("matrix: 2 4\n1 0 1 1\n0 1 1 1\n", "0,1,1,2", minor)]:
+            f.write_text(text)
+            code, out, err = run(capsys, "linear", str(f), "-w", weight)
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_column_permutation_reported(self, capsys, tmp_path):
+        f = tmp_path / "m.matrix"
+        f.write_text("matrix: 1 3\n0 1 1\n")
+        code, out, _ = run(capsys, "linear", str(f), "--trials", "1",
+                           "--grid", "1", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["column_permutation"] == [2, 1, 3]
+        assert data["reduced"] == [["1", "0", "1"]]
+        assert data["right_block_nonzero"] is False
+
 
 class TestPrincipal:
     def test_pass(self, capsys):
@@ -303,8 +327,10 @@ class TestVerifyCorpus:
 
 class TestConsoleScript:
     def test_entry_point(self):
+        # -m puts the working directory on sys.path: the package in src/
+        # is found without an install or PYTHONPATH
         proc = subprocess.run([sys.executable, "-m", "tropgen.cli", "fan",
-                               "wn", "--n", "2"],
+                               "wn", "--n", "2"], cwd=CORPUS.parent / "src",
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "3 cones" in proc.stdout

@@ -1,23 +1,23 @@
 """Closed forms for principal and linear ideals."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from tropgen import special
 from tropgen.fans import same_cone
 from tropgen.generic import random_transform
-from tropgen.linalg import QQ, mat_mul, rank
+from tropgen.linalg import QQ, mat_mul, rank, rref
 from tropgen.poly import ParseError, parse_polynomial
 from tropgen.special import (
-    LinearIdealMatrix,
-    NonGenericMatrixError,
     check_linear_theorem,
     check_minors,
     check_principal_theorem,
     full_support_transform,
-    gauss_reduce_report,
     linear_fan_census,
     linear_groebner_cone,
+    linear_ideal,
     parse_matrix_file,
     plateau_cone,
     pure_power_coefficients,
@@ -86,37 +86,23 @@ class TestPrincipal:
         assert report.ok
 
 
-def gauss_reduce(A):
-    """Reduced form [I_r | *] of the matrix, dropping zero rows; raises
-    when the leading r x r minor vanishes, since the column permutation
-    gauss_reduce_report applies would describe a different ideal."""
-    reduced, perm = gauss_reduce_report(A)
-    if perm != tuple(range(A.n)):
-        raise NonGenericMatrixError(
-            f"leading minor vanishes; column permutation {perm} required")
-    return reduced
-
-
 class TestGaussReduce:
+    """The reduced form [I_r | *] comes from linalg.rref: nonzero rows of
+    the RREF and their pivot columns."""
+
     def test_one_step(self):
-        A = LinearIdealMatrix.of([(1, 1, 1), (0, 1, 1)], 3)
-        assert gauss_reduce(A) == ((QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(1)))
+        assert rref(((1, 1, 1), (0, 1, 1))) == (((1, 0, 0), (0, 1, 1)), (0, 1))
 
     def test_identity_block_unchanged(self):
-        A = LinearIdealMatrix.of([(1, 0, 2), (0, 1, 3)], 3)
-        assert gauss_reduce(A) == A.rows
+        rows = ((1, 0, 2), (0, 1, 3))
+        assert rref(rows) == (rows, (0, 1))
 
     def test_column_pivoting_reported(self):
-        A = LinearIdealMatrix.of([(0, 1, 1)], 3)
-        with pytest.raises(NonGenericMatrixError):
-            gauss_reduce(A)
-        reduced, perm = gauss_reduce_report(A)
-        assert perm == (1, 0, 2)
-        assert reduced[0][0] == 1
+        # the leading 1 x 1 minor vanishes: the pivot is column 1, not 0
+        assert rref(((0, 1, 1),)) == (((0, 1, 1),), (1,))
 
     def test_zero_rows_dropped(self):
-        A = LinearIdealMatrix.of([(1, 0, 1), (2, 0, 2)], 3)
-        assert len(gauss_reduce_report(A)[0]) == 1
+        assert rref(((1, 0, 1), (2, 0, 2))) == (((1, 0, 1),), (0,))
 
 
 class TestMinors:
@@ -128,22 +114,26 @@ class TestMinors:
         assert not check_minors(((1, 1, 1), (2, 2, 2)), 3)
 
     def test_random_generic(self):
-        A = LinearIdealMatrix.of([(1, 1, 1, 1), (1, 2, 3, 4)], 4)
-        hits = sum(check_minors(mat_mul(A.rows, random_transform(4, 50, s)), 4)
+        A = ((1, 1, 1, 1), (1, 2, 3, 4))
+        hits = sum(check_minors(mat_mul(A, random_transform(4, 50, s)), 4)
                    for s in range(5))
         assert hits >= 4  # non-generic draws are rare
 
     def test_rank_invariance(self):
-        A = LinearIdealMatrix.of([(1, 1, 1), (1, 2, 3)], 3)
+        A = ((1, 1, 1), (1, 2, 3))
         g = random_transform(3, 10, 3)
-        assert rank(mat_mul(A.rows, g)) == A.rank
+        assert rank(mat_mul(A, g)) == rank(A) == 2
 
 
 class TestMatrixFile:
     def test_parse(self):
-        A = parse_matrix_file("# c\nmatrix: 2 3\n1 2 -1\n0 1/2 1\n")
-        assert A.n == 3 and A.rank == 2
-        assert A.rows[1][1] == QQ(1, 2)
+        rows = parse_matrix_file("# c\nmatrix: 2 3\n1 2 -1\n0 1/2 1\n")
+        # scaled to primitive integer rows: same ideal, same RREF
+        assert rows == ((1, 2, -1), (0, 1, 2))
+        assert all(type(x) is int for row in rows for x in row)
+        assert len(rows[0]) == 3 and rank(rows) == 2
+        assert rref(rows) == rref(((QQ(1), QQ(2), QQ(-1)),
+                                   (QQ(0), QQ(1, 2), QQ(1))))
 
     @pytest.mark.parametrize("bad", [
         "", "1 2 3\n", "matrix: 2 3\n1 2 3\n", "matrix: 1 2\n1 x\n",
@@ -157,38 +147,42 @@ class TestMatrixFile:
 
 class TestLinearCone:
     def generic_rows(self, r, n, seed=5):
+        """Reduced form [I_r | *] of a random generic rank-r matrix: the
+        closed form's precondition holds for its ideal."""
         rng = random.Random(seed)
         while True:
-            rows = tuple(tuple(QQ(rng.randint(-5, 5)) for _ in range(n))
+            rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                          for _ in range(r))
-            A = LinearIdealMatrix.of(rows, n)
-            if A.rank != r:
-                continue
-            reduced, perm = gauss_reduce_report(A)
-            if perm == tuple(range(n)) and right_block_nonzero(reduced, n):
-                try:
-                    linear_groebner_cone(reduced, n, tuple([0] * n))
-                except NonGenericMatrixError:
-                    continue
+            reduced, pivots = rref(rows)
+            if (pivots == tuple(range(r)) and right_block_nonzero(reduced, n)
+                    and check_minors(reduced, n)):
                 return reduced
+
+    def closed_form(self, rows, w):
+        """The closed-form cone at w, checked against the engine's."""
+        n = len(w)
+        cone = linear_groebner_cone(len(rows), n, w)
+        engine = groebner_cone(weight_gb(linear_ideal(rows), w), w)
+        assert same_cone(cone, engine), w
+        return cone
 
     def test_strict_cut_full_dimensional(self):
         rows = self.generic_rows(1, 3)
-        cone = linear_groebner_cone(rows, 3, (0, 1, 2))
+        cone = self.closed_form(rows, (0, 1, 2))
         # rank 1: the single smallest coordinate stays smallest
         assert cone.equalities == ()
         assert sorted(cone.inequalities) == [(1, -1, 0), (1, 0, -1)]
 
     def test_all_equal_plateau(self):
         rows = self.generic_rows(1, 3)
-        cone = linear_groebner_cone(rows, 3, (0, 0, 0))
+        cone = self.closed_form(rows, (0, 0, 0))
         assert len(cone.equalities) == 2
         assert cone.inequalities == ()
 
     def test_plateau_with_below_block(self):
         rows = self.generic_rows(2, 4, seed=9)
         # sorted pattern: w1 < w2 = w3 < w4 crosses position r = 2
-        cone = linear_groebner_cone(rows, 4, (0, 1, 1, 2))
+        cone = self.closed_form(rows, (0, 1, 1, 2))
         assert len(cone.equalities) == 1
         # dim = n - |E| + 1 = 3
         from tropgen.fans import cone_dim
@@ -200,17 +194,12 @@ class TestLinearCone:
         for r, n, seed in [(1, 3, 1), (2, 3, 2), (1, 4, 3), (2, 4, 4),
                            (3, 4, 6)]:
             rows = self.generic_rows(r, n, seed)
-            ideal = LinearIdealMatrix.of(rows, n).to_ideal()
+            ideal = linear_ideal(rows)
             for _ in range(20):
                 w = tuple(rng.randint(-3, 3) for _ in range(n))
-                closed = linear_groebner_cone(rows, n, w)
+                closed = linear_groebner_cone(r, n, w)
                 engine = groebner_cone(weight_gb(ideal, w), w)
                 assert same_cone(closed, engine), (r, n, w)
-
-    def test_non_generic_rejected(self):
-        rows = ((QQ(1), QQ(0), QQ(1)), (QQ(0), QQ(1), QQ(0)))
-        with pytest.raises(NonGenericMatrixError):
-            linear_groebner_cone(rows, 3, (0, 1, 2))
 
 
 class TestCensus:
@@ -230,12 +219,11 @@ class TestCensus:
 
     def test_census_matches_enumeration_for_small_case(self):
         # count distinct closed-form cones over a fine grid, n=3, r=1
-        rows = TestLinearCone().generic_rows(1, 3)
         from itertools import product
 
         seen = {}
         for w in product(range(-2, 3), repeat=3):
-            c = linear_groebner_cone(rows, 3, w)
+            c = linear_groebner_cone(1, 3, w)
             seen[(c.equalities, c.inequalities)] = c
         census = linear_fan_census(3, 1)
         from tropgen.fans import cone_dim
@@ -249,13 +237,27 @@ class TestCensus:
 
 class TestLinearTheorem:
     def test_r2_n3(self):
-        A = LinearIdealMatrix.of([(1, -1, 0), (1, 0, -1)], 3)
-        report = check_linear_theorem(A, trials=2, seed=1, bound=10,
-                                      radius=2, n_weights=8)
+        report = check_linear_theorem(((1, -1, 0), (1, 0, -1)), trials=2,
+                                      seed=1, bound=10, radius=2, n_weights=8)
         assert report.ok, report.mismatches
 
     def test_r1_n4(self):
-        A = LinearIdealMatrix.of([(1, 1, 1, 1)], 4)
-        report = check_linear_theorem(A, trials=2, seed=1, bound=10,
-                                      radius=1, n_weights=6)
+        report = check_linear_theorem(((1, 1, 1, 1),), trials=2, seed=1,
+                                      bound=10, radius=1, n_weights=6)
         assert report.ok, report.mismatches
+
+    def test_genericity_checked_once_per_transform(self, monkeypatch):
+        calls = []
+
+        def counting(rows, n):
+            calls.append(rows)
+            return check_minors(rows, n)
+
+        monkeypatch.setattr(special, "check_minors", counting)
+        text = (Path(__file__).resolve().parent.parent / "corpus"
+                / "linear_r2_n4.matrix").read_text()
+        report = check_linear_theorem(parse_matrix_file(text), trials=3,
+                                      seed=1, radius=1)
+        assert report.ok, report.mismatches
+        # one test per transform drawn, none per weight or skeleton cone
+        assert len(calls) == 3
