@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import count
 
 from . import __version__
 from .fans import (
@@ -180,18 +181,18 @@ def cmd_dim(args) -> int:
 
 
 def _monomial_certificate(ideal, w):
-    """A monomial of in_w(I), for a weight outside the tropical variety."""
+    """A monomial of in_w(I), coefficient 1, for w outside the variety."""
     gens = initial_ideal_generators(ideal, w)
     for g in gens:
         if len(g.terms) == 1:
-            return g.terms[0][0]
-    # some power of x1*..*xn lies in in_w(I); find the smallest
+            return g.monic()
+    # the smallest power of x1*..*xn in in_w(I); the search ends, since a
+    # monomial m of in_w(I) divides (x1*..*xn)^k for k its largest exponent
     gb = reduced_gb(Ideal.of(ideal.n, gens), GRLEX)
-    for k in range(1, 32):
+    for k in count(1):
         mono = Polynomial(ideal.n, ((tuple([k] * ideal.n), QQ(1)),))
         if normal_form(mono, gb.elements, gb.heads, gb.order).is_zero:
-            return tuple([k] * ideal.n)
-    return None
+            return mono
 
 
 def cmd_member(args) -> int:
@@ -203,10 +204,8 @@ def cmd_member(args) -> int:
     lines = [f"w = {w}: {'true' if inside else 'false'}"]
     if not inside:
         cert = _monomial_certificate(ideal, w)
-        if cert is not None:
-            report["certificate"] = list(cert)
-            monomial = Polynomial(ideal.n, ((cert, QQ(1)),))
-            lines.append(f"certificate monomial: {monomial}")
+        report["certificate"] = list(cert.terms[0][0])
+        lines.append(f"certificate monomial: {cert}")
     _emit(args, report, lines)
     return EXIT_OK
 

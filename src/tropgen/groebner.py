@@ -1,4 +1,6 @@
-"""Buchberger's algorithm with marked heads, plus ideal-theoretic queries.
+"""Buchberger's algorithm with marked heads, plus ideal-theoretic queries:
+dimension, and monomial containment by saturation in the homogeneous
+ideal's own ring.
 
 A reduced marked Groebner basis is unique for a given ideal and term order,
 so downstream computations (dimensions, cones, initial ideals) are
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import QQ, ZERO, ONE
+from .linalg import ZERO, ONE
 from .poly import (
     GRLEX,
     Ideal,
@@ -23,6 +25,7 @@ from .poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    weight_order,
 )
 
 
@@ -150,26 +153,28 @@ def reduced_gb(ideal: Ideal, order: TermOrder = GRLEX) -> MarkedGB:
     return buchberger(list(ideal.generators), order)
 
 
-def contains_one(generators, order: TermOrder = GRLEX) -> bool:
-    """True iff the (possibly inhomogeneous) ideal is the whole ring."""
-    gb = buchberger(list(generators), order)
-    return any(h == (0,) * gb.n for h in gb.heads)
-
-
 def contains_monomial(generators, n: int) -> bool:
-    """True iff the ideal contains some monomial in x1..xn.
-
-    A homogeneous ideal J contains a monomial iff the saturation of J by
-    x1*...*xn is the whole ring, which holds iff J together with
-    t*x1*...*xn - 1 (in one extra variable t) contains 1.
-    """
-    lifted = []
-    for g in generators:
-        lifted.append(Polynomial(n + 1, tuple((e + (0,), c) for e, c in g.terms)))
-    prod_exp = tuple([1] * n) + (1,)
-    aux = Polynomial.from_dict(n + 1, {prod_exp: ONE, (0,) * (n + 1): QQ(-1)})
-    lifted.append(aux)
-    return contains_one(lifted, GRLEX)
+    """True iff the homogeneous ideal J the generators span contains a
+    monomial, which holds iff its saturation by xn, ..., x1 in turn is 1.
+    Each step is Bayer and Stillman's: the reduced basis G of a homogeneous
+    K under weight_order(e_i) is homogeneous, and each head has the fewest
+    x_i of its terms, so x_i^k divides the head iff it divides the element.
+    Dividing out these largest powers gives a Groebner basis of K : x_i^inf:
+    for homogeneous f with x_i^k f in K, a head of G divides x_i^k head(f),
+    and its quotient's head is free of x_i, so it divides head(f).  A
+    single-term element of a saturation has a multiple in J, and a unit
+    last saturation has a homogeneous element with head 1."""
+    basis = list(generators)
+    for i in reversed(range(n)):
+        if any(len(g.terms) == 1 for g in basis):
+            return True
+        gb = buchberger(basis, weight_order(tuple(int(j == i) for j in range(n))))
+        basis = []
+        for g in gb.elements:
+            k = min(e[i] for e, _ in g.terms)
+            basis.append(Polynomial.from_dict(
+                n, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms}))
+    return any(len(g.terms) == 1 for g in basis)
 
 
 def minimal_monomial_generators(exponents) -> tuple:

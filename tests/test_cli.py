@@ -91,6 +91,15 @@ class TestMember:
         assert code == 0 and "false" in out
         assert "x1*x2" in out
 
+    def test_certificate_power_of_all_variables(self, capsys, tmp_path):
+        # x1*(x2 - x3) and x2 - x3 = -2*x1 give x1^2, yet no initial
+        # generator is a single term; the certificate is (x1*x2*x3)^2
+        f = tmp_path / "ideal"
+        f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
+        code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
+        assert code == 0 and "false" in out
+        assert "certificate monomial: x1^2*x2^2*x3^2" in out
+
     def test_weight_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "member", str(CORPUS / "monomial_x1x2"),
                          "-w", "1,2,3")

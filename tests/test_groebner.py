@@ -4,14 +4,13 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropgen.linalg import QQ
 from tropgen.groebner import (
     buchberger,
     contains_monomial,
-    contains_one,
     krull_dimension,
     minimal_monomial_generators,
     monomial_ideal_dimension,
@@ -38,6 +37,23 @@ def I(n, *texts):
     return Ideal.of(n, tuple(P(t, n) for t in texts))
 
 
+def contains_one(generators, order=GRLEX):
+    """Reference: True iff the (possibly inhomogeneous) ideal is the whole
+    ring."""
+    gb = buchberger(list(generators), order)
+    return any(h == (0,) * gb.n for h in gb.heads)
+
+
+def rabinowitsch_contains_monomial(generators, n):
+    """Reference: the ideal contains a monomial iff, together with
+    t*x1*...*xn - 1 in one extra variable t, it contains 1."""
+    lifted = [Polynomial(n + 1, tuple((e + (0,), c) for e, c in g.terms))
+              for g in generators]
+    lifted.append(Polynomial.from_dict(
+        n + 1, {(1,) * (n + 1): QQ(1), (0,) * (n + 1): QQ(-1)}))
+    return contains_one(lifted)
+
+
 def mask_dimension(n, generators):
     """Reference: the largest S, over all 2^n subsets, such that every
     generator involves a variable outside S."""
@@ -56,6 +72,47 @@ def monomial_ideals(draw):
     n = draw(st.integers(1, 8))
     exps = st.tuples(*[st.integers(0, 2)] * n).filter(any)
     return n, draw(st.lists(exps, min_size=1, max_size=8))
+
+
+def forms(n, d, coefficients):
+    """Strategy: the form of degree d in x1..xn whose coefficient on each
+    monomial is drawn from the coefficients strategy."""
+    monos = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
+    return st.lists(coefficients, min_size=len(monos),
+                    max_size=len(monos)).map(lambda cs: Polynomial.from_dict(
+                        n, {e: QQ(c) for e, c in zip(monos, cs)}))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """Up to 3 nonzero homogeneous generators in n <= 3 variables, of
+    degree <= 3, with coefficients in [-3, 3]."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        gens.append(draw(forms(n, d, st.integers(-3, 3))
+                         .filter(lambda f: not f.is_zero)))
+    return n, gens
+
+
+@st.composite
+def hidden_monomial_ideals(draw):
+    """Linear forms l_1, .., l_r (r <= 2) in n = 3 or 4 variables, with
+    coefficients in [-3, 3] but not 0, and c*m + q_1*l_1 + .. + q_r*l_r for
+    a monomial m of degree 2 or 3, c in [-3, 3] but not 0, and forms q_j
+    with coefficients in [-3, 3].  The ideal contains m, but often no
+    reduced basis has it as an element, so only saturation shows it."""
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    n = draw(st.integers(3, 4))
+    lins = draw(st.lists(forms(n, 1, nonzero), min_size=1, max_size=2))
+    d = draw(st.integers(2, 3))
+    m = draw(st.sampled_from([e for e in product(range(d + 1), repeat=n)
+                              if sum(e) == d]))
+    g = Polynomial(n, ((m, QQ(draw(nonzero))),))
+    for lin in lins:
+        g = g + draw(forms(n, d - 1, st.integers(-3, 3))) * lin
+    return n, (lins + [g] if not g.is_zero else lins)
 
 
 class TestNormalForm:
@@ -129,6 +186,18 @@ class TestContainment:
         # together they give x1 and x2
         assert contains_monomial(gens, 2)
 
+    # x1*x2*(x2 + x3) and x1*x2*(x1 - x2) are x1^2*x2 and x1*x2*x3 modulo
+    # x2 + x3 - x1, but no reduced basis under the orders the saturation
+    # uses has a single-term element: a monomial shows only in a quotient
+    @example((3, [P("-x1 + x2 + x3", 3), P("x1*x2^2 + x1*x2*x3", 3)]))
+    @example((3, [P("-x1 + x2 + x3", 3), P("x1^2*x2 - x1*x2^2", 3)]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(homogeneous_ideals(), hidden_monomial_ideals()))
+    def test_contains_monomial_matches_rabinowitsch(self, case):
+        n, gens = case
+        assert contains_monomial(gens, n) == rabinowitsch_contains_monomial(
+            gens, n)
+
 
 class TestDimension:
     def test_monomial_dimension(self):
@@ -165,22 +234,6 @@ class TestDimension:
             w = tuple(rng.randint(-4, 4) for _ in range(3))
             gb = reduced_gb(ideal, weight_order(w))
             assert monomial_ideal_dimension(3, gb.heads) == base
-
-
-@st.composite
-def homogeneous_ideals(draw):
-    """Up to 3 nonzero homogeneous generators in n <= 3 variables, of
-    degree <= 3, with coefficients in [-3, 3]."""
-    n = draw(st.integers(1, 3))
-    gens = []
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(1, 3))
-        monos = [e for e in product(range(d + 1), repeat=n) if sum(e) == d]
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
-                               max_size=len(monos)).filter(any))
-        gens.append(Polynomial.from_dict(
-            n, {e: QQ(c) for e, c in zip(monos, coeffs)}))
-    return n, gens
 
 
 @pytest.fixture(scope="module")

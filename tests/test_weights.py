@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tropgen import groebner, halfspaces, weights
-from tropgen.fans import cone_dim, member, same_cone
+from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
 from tropgen.generic import (
     normalized_grid,
     random_transform,
@@ -137,6 +137,16 @@ class TestMembership:
         for w in [(0, 1, 2), (0, 0, 1)]:
             assert (in_tropical_variety(ideal, w)
                     == in_tropical_variety(ideal, tuple(3 * x for x in w)))
+
+    def test_generic_n5_is_the_skeleton(self):
+        # a generic complete intersection of dimension 3 in 5 variables:
+        # its tropical variety is the 3-skeleton of W(5)
+        ideal = I(5, "x1^2 + x2*x3", "x4^2 + x3*x5")
+        J = transform_ideal(ideal, random_transform(5, 50, trial_seed(1, 0)))
+        assert in_tropical_variety(J, (0,) * 5)
+        for w, inside in [((1, 0, 0, 0, 2), True), ((0, 1, 1, 1, 1), False)]:
+            assert skeleton_membership(5, 3, w) == inside
+            assert in_tropical_variety(J, w) == inside
 
 
 class TestGroebnerCone:
