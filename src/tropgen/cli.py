@@ -37,7 +37,8 @@ from .generic import (
     check_symmetry,
     generic_membership_map,
 )
-from .groebner import krull_dimension, normal_form, reduced_gb
+from .groebner import (contains_monomial, krull_dimension, normal_form,
+                       reduced_gb)
 from .linalg import QQ, rref
 from .poly import (
     GRLEX,
@@ -62,7 +63,6 @@ from .weights import (
     BudgetSettingError,
     IncompleteFanError,
     enumerate_groebner_fan,
-    in_tropical_variety,
     initial_ideal_generators,
 )
 
@@ -180,17 +180,17 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def _monomial_certificate(ideal, w):
-    """A monomial of in_w(I), coefficient 1, for w outside the variety."""
-    gens = initial_ideal_generators(ideal, w)
+def _monomial_certificate(n, gens):
+    """A monomial, coefficient 1, of the initial ideal in_w(I) that the
+    initial forms gens generate, for w outside the variety."""
     for g in gens:
         if len(g.terms) == 1:
             return g.monic()
     # the smallest power of x1*..*xn in in_w(I); the search ends, since a
     # monomial m of in_w(I) divides (x1*..*xn)^k for k its largest exponent
-    gb = reduced_gb(Ideal.of(ideal.n, gens), GRLEX)
+    gb = reduced_gb(Ideal.of(n, gens), GRLEX)
     for k in count(1):
-        mono = Polynomial(ideal.n, ((tuple([k] * ideal.n), QQ(1)),))
+        mono = Polynomial(n, ((tuple([k] * n), QQ(1)),))
         if normal_form(mono, gb.elements, gb.heads, gb.order).is_zero:
             return mono
 
@@ -198,12 +198,14 @@ def _monomial_certificate(ideal, w):
 def cmd_member(args) -> int:
     ideal = _load_ideal(args.ideal)
     w = _parse_weight(args.weight, ideal.n)
-    inside = in_tropical_variety(ideal, w)
+    # one w-refined basis gives both the verdict and the certificate
+    gens = initial_ideal_generators(ideal, w)
+    inside = not contains_monomial(gens, ideal.n)
     report = _base_report(args)
     report.update({"command": "member", "weight": list(w), "member": inside})
     lines = [f"w = {w}: {'true' if inside else 'false'}"]
     if not inside:
-        cert = _monomial_certificate(ideal, w)
+        cert = _monomial_certificate(ideal.n, gens)
         report["certificate"] = list(cert.terms[0][0])
         lines.append(f"certificate monomial: {cert}")
     _emit(args, report, lines)

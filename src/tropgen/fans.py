@@ -16,7 +16,7 @@ of dimension n - |A| + 1; its t-skeleton collects the C_A with |A| >= n-t+1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -117,34 +117,30 @@ class Fan:
     cones: tuple
 
 
-def build_W(n: int) -> Fan:
-    """The fan of cones C_A = {w : w_i = min w for i in A}, A nonempty.
+def unit_diff(n, i, j):
+    """Row of the constraint w_i - w_j <= 0 (or = 0)."""
+    return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
 
-    Each C_A is emitted in an already-minimal representation: equalities
-    w_i = w_a0 for i in A (a0 = min A), inequalities w_a0 <= w_k for k
-    outside A.  dim C_A = n - |A| + 1.
+
+def plateau_cone(n, B, E) -> Cone:
+    """The cone {w_B <= w_E, w_E all equal, w_E <= w_rest}."""
+    E = sorted(E)
+    B = sorted(B)
+    T = [i for i in range(n) if i not in set(E) | set(B)]
+    e0 = E[0]
+    eqs = [unit_diff(n, e, e0) for e in E[1:]]
+    ineqs = [unit_diff(n, b, e0) for b in B] + [unit_diff(n, e0, t) for t in T]
+    return make_cone(n, eqs, ineqs)
+
+
+def build_W(n: int) -> Fan:
+    """The fan of cones C_A = {w : w_i = min w for i in A}, A nonempty:
+    C_A is the plateau cone of A with nothing below it, labelled A.
+    dim C_A = n - |A| + 1.
     """
-    indices = list(range(n))
-    cones = []
-    for size in range(1, n + 1):
-        for A in combinations(indices, size):
-            a0 = A[0]
-            eqs = []
-            for i in A[1:]:
-                row = [0] * n
-                row[i] = 1
-                row[a0] = -1
-                eqs.append(tuple(row))
-            ineqs = []
-            for k in indices:
-                if k in A:
-                    continue
-                row = [0] * n
-                row[a0] = 1
-                row[k] = -1
-                ineqs.append(tuple(row))
-            cones.append(make_cone(n, eqs, ineqs, label=tuple(A)))
-    return Fan(n, tuple(cones))
+    return Fan(n, tuple(replace(plateau_cone(n, (), A), label=A)
+                        for size in range(1, n + 1)
+                        for A in combinations(range(n), size)))
 
 
 def w_skeleton(n: int, m: int) -> Fan:

@@ -7,6 +7,10 @@ so downstream computations (dimensions, cones, initial ideals) are
 deterministic.  Heads are the order-maximal terms under the preference key
 of the order; for weight-refined orders on homogeneous input this marks the
 terms of minimal weight.
+
+Every marked basis is monic on its heads (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 2 section 7); the reduction code relies on
+it and reads no head coefficient.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .poly import (
 
 @dataclass(frozen=True)
 class MarkedGB:
-    """Reduced Groebner basis with the head monomial of each element."""
+    """Reduced Groebner basis with the head monomial of each element: its
+    order-maximal term, on which the element is monic."""
 
     n: int
     order: TermOrder
@@ -42,52 +47,57 @@ class MarkedGB:
         return frozenset(g.support() for g in self.elements)
 
 
+def _add_shifted_tail(work: dict, g: Polynomial, h, shift, factor) -> None:
+    """work += factor * x^shift * (g - its head term h), in place, deleting
+    each entry as it becomes zero."""
+    for e, c in g.terms:
+        if e != h:
+            key = monomial_mul(e, shift)
+            c = work.get(key, ZERO) + factor * c
+            if c:
+                work[key] = c
+            else:
+                del work[key]
+
+
 def normal_form(p: Polynomial, basis, heads, order: TermOrder) -> Polynomial:
-    """Fully reduce p modulo the marked basis (tail reduction included)."""
-    n = p.n
-    remainder: dict = {}
+    """Fully reduce p modulo the marked basis (tail reduction included).
+
+    Precondition: each basis element is monic on its head, its term that
+    is maximal under order.  A term c*x^a that heads[i] divides is then
+    replaced by -c*x^(a - heads[i]) times the tail of basis[i], whose terms
+    are all smaller than x^a.  Terms are taken largest first, so each
+    monomial leaves work once, to be reduced or to enter the remainder."""
+    remainder = {}
     work = dict(p.terms)
     while work:
         exp = max(work, key=order.key)
         coeff = work.pop(exp)
-        if coeff == 0:
-            continue
         for g, h in zip(basis, heads):
             if monomial_divides(h, exp):
-                shift = monomial_div(exp, h)
-                gd = dict(g.terms)
-                factor = coeff / gd[h]
-                for e, c in g.terms:
-                    if e == h:
-                        continue
-                    key = monomial_mul(e, shift)
-                    work[key] = work.get(key, ZERO) + -factor * c
-                    if work[key] == 0:
-                        del work[key]
+                _add_shifted_tail(work, g, h, monomial_div(exp, h), -coeff)
                 break
         else:
-            remainder[exp] = remainder.get(exp, ZERO) + coeff
-    return Polynomial.from_dict(n, remainder)
+            remainder[exp] = coeff
+    return Polynomial.from_dict(p.n, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, hf, hg) -> Polynomial:
+    """x^(l - hf)*f - x^(l - hg)*g for l = lcm(hf, hg), with f and g monic
+    on their heads hf and hg: the two heads cancel, leaving the shifted
+    tails."""
     l = monomial_lcm(hf, hg)
-    cf = dict(f.terms)[hf]
-    cg = dict(g.terms)[hg]
-    mf = Polynomial(f.n, ((monomial_div(l, hf), ONE / cf),))
-    mg = Polynomial(g.n, ((monomial_div(l, hg), ONE / cg),))
-    return mf * f - mg * g
+    shift = monomial_div(l, hf)
+    work = {monomial_mul(e, shift): c for e, c in f.terms if e != hf}
+    _add_shifted_tail(work, g, hg, monomial_div(l, hg), -ONE)
+    return Polynomial.from_dict(f.n, work)
 
 
 def buchberger(generators, order: TermOrder) -> MarkedGB:
     """Reduced marked Groebner basis of the ideal the generators span."""
     n = generators[0].n
-    basis = []
-    heads = []
-    for g in generators:
-        if not g.is_zero:
-            basis.append(g.monic(order))
-            heads.append(g.head_monomial(order))
+    basis = [g.monic(order) for g in generators if not g.is_zero]
+    heads = [g.head_monomial(order) for g in basis]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     while pairs:
@@ -101,17 +111,10 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
         if l == monomial_mul(hi, hj):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(heads[k], l):
-                ik = (max(i, k), min(i, k))
-                jk = (max(j, k), min(j, k))
-                if ik not in pairs and jk not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and monomial_divides(heads[k], l)
+               and (max(i, k), min(i, k)) not in pairs
+               and (max(j, k), min(j, k)) not in pairs
+               for k in range(len(basis))):
             continue
         r = normal_form(s_polynomial(basis[i], basis[j], hi, hj), basis, heads, order)
         if not r.is_zero:
@@ -126,23 +129,19 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
 
 def interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
     """The reduced marked basis from a Groebner basis whose element i is
-    marked on heads[i]: drop elements whose head another head divides,
-    then reduce each tail by the others and make it monic."""
-    keep = []
-    for i, h in enumerate(heads):
-        if not any(j != i and monomial_divides(heads[j], h)
-                   and (heads[j] != h or j < i) for j in range(len(heads))):
-            keep.append(i)
+    monic on its head heads[i] under order: drop elements whose head
+    another head divides, then reduce each tail by the others.  No kept
+    head divides another, and reduction only adds terms smaller than the
+    one it removes, so each head leaves normal_form first, unreduced, with
+    its coefficient 1: the results are monic on the same heads."""
+    keep = [i for i, h in enumerate(heads)
+            if not any(j != i and monomial_divides(heads[j], h)
+                       and (heads[j] != h or j < i) for j in range(len(heads)))]
     basis = [basis[i] for i in keep]
     heads = [heads[i] for i in keep]
-
-    reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        oheads = heads[:i] + heads[i + 1:]
-        reduced.append(normal_form(g, others, oheads, order).monic(order))
-    heads = [g.head_monomial(order) for g in reduced]
-
+    reduced = [normal_form(g, basis[:i] + basis[i + 1:],
+                           heads[:i] + heads[i + 1:], order)
+               for i, g in enumerate(basis)]
     combined = sorted(zip(heads, reduced), key=lambda t: order.key(t[0]))
     heads = tuple(h for h, _ in combined)
     elements = tuple(g for _, g in combined)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
 
-from .fans import Cone, build_W, make_cone, same_cone, skeleton_membership
+from .fans import (Cone, build_W, make_cone, plateau_cone, same_cone,
+                   skeleton_membership, unit_diff)
 from .generic import (
     TransformSearchError,
     apply_transform,
@@ -239,29 +240,13 @@ def linear_groebner_cone(r, n, w) -> Cone:
     if values[r - 1] < values[r]:
         # full-dimensional: the r chosen coordinates stay smallest
         small = set(order[:r])
-        ineqs = [_unit_diff(n, s, t)
+        ineqs = [unit_diff(n, s, t)
                  for s in small for t in range(n) if t not in small]
         return make_cone(n, (), ineqs)
     pivot_value = values[r - 1]
     E = [i for i in range(n) if w[i] == pivot_value]
     B = [i for i in range(n) if w[i] < pivot_value]
     return plateau_cone(n, B, E)
-
-
-def _unit_diff(n, i, j):
-    """Row of the constraint w_i - w_j <= 0 (or = 0)."""
-    return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(n))
-
-
-def plateau_cone(n, B, E) -> Cone:
-    """The cone {w_B <= w_E, w_E all equal, w_E <= w_rest}."""
-    E = sorted(E)
-    B = sorted(B)
-    T = [i for i in range(n) if i not in set(E) | set(B)]
-    e0 = E[0]
-    eqs = [_unit_diff(n, e, e0) for e in E[1:]]
-    ineqs = [_unit_diff(n, b, e0) for b in B] + [_unit_diff(n, e0, t) for t in T]
-    return make_cone(n, eqs, ineqs)
 
 
 def linear_fan_census(n: int, r: int) -> dict:
@@ -380,10 +365,10 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
     # below-block and plateau size r + 1; witness each by the indicator
     # weight vanishing on the plateau
     if generic_rows is not None:
+        w_cones = {c.label: c for c in build_W(n).cones}
         for E in combinations(range(n), r + 1):
             w = tuple(0 if i in E else 1 for i in range(n))
-            w_cone = next(c for c in build_W(n).cones if c.label == tuple(E))
-            if not same_cone(linear_groebner_cone(r, n, w), w_cone):
+            if not same_cone(linear_groebner_cone(r, n, w), w_cones[E]):
                 report.skeleton_cones_found = False
                 report.mismatches.append(("skeleton_cone", E))
     return report

@@ -187,7 +187,7 @@ def _flip(cone: Cone, gb: MarkedGB, row, p):
     the reduced basis H of in_p(I).  Each h in H lies in in_p(I); dividing
     it by gb leaves a remainder of larger p-weight only, so
     f = h - nf_gb(h) lies in I with in_p(f) = h.  As < refines p, the f
-    are a minimal Groebner basis of the graded ideal I for < with the
+    are a minimal Groebner basis of the graded ideal I for <, monic on the
     heads of H, and inter-reducing them gives the reduced basis, which is
     unique: the same basis, and the same cone, as a fresh Buchberger run.
     """

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, output contracts, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgen import weights
+from tropgen import __version__, weights
 from tropgen.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -99,6 +100,28 @@ class TestMember:
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
         assert code == 0 and "false" in out
         assert "certificate monomial: x1^2*x2^2*x3^2" in out
+
+    def test_one_basis_per_run(self, capsys, tmp_path, monkeypatch):
+        # the verdict and the certificate read the same initial forms
+        calls = []
+        weight_gb = weights.weight_gb
+
+        def counting(ideal, *ws):
+            calls.append(ws)
+            return weight_gb(ideal, *ws)
+        monkeypatch.setattr(weights, "weight_gb", counting)
+        f = tmp_path / "ideal"
+        f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
+        code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
+        assert code == 0 and out == ("w = (0, 0, 0): false\n"
+                                     "certificate monomial: x1^2*x2^2*x3^2\n")
+        assert calls == [((0, 0, 0),)]
+        code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0", "--json")
+        assert code == 0 and out == json.dumps(
+            {"certificate": [2, 2, 2], "command": "member", "member": False,
+             "seed": 1, "tool": "tropgen", "version": __version__,
+             "weight": [0, 0, 0]}, sort_keys=True, indent=2) + "\n"
+        assert len(calls) == 2
 
     def test_weight_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "member", str(CORPUS / "monomial_x1x2"),
@@ -332,6 +355,25 @@ class TestVerifyCorpus:
                            "7", "--json", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["all_passed"] is True
+
+
+class TestCanonicalOutputs:
+    """The canonical JSON of the corpus run and of one Groebner fan, pinned
+    by sha256.  A change that alters either on purpose updates the pin and
+    says why."""
+
+    def test_verify_corpus_json(self, capsys):
+        code, out, _ = run(capsys, "verify-corpus", str(CORPUS), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "70c048179d411f70a89cd1d317abefa444231c776c24c86ab4f6baa84ddb6d4b")
+
+    def test_groebner_fan_json(self, capsys):
+        code, out, _ = run(capsys, "fan", "groebner",
+                           str(CORPUS / "ci_n4_dim2"), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "62ea23596c8e7c7032b9fb5d04184dc43e375380cbb886866167e7eee6ecc45c")
 
 
 class TestConsoleScript:

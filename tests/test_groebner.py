@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tropgen.linalg import QQ
+from tropgen.linalg import QQ, ZERO, ONE
 from tropgen.groebner import (
     buchberger,
     contains_monomial,
@@ -16,6 +16,7 @@ from tropgen.groebner import (
     monomial_ideal_dimension,
     normal_form,
     reduced_gb,
+    s_polynomial,
 )
 from tropgen.poly import (
     GRLEX,
@@ -24,6 +25,10 @@ from tropgen.poly import (
     ImproperIdealError,
     Polynomial,
     TermOrder,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
     parse_polynomial,
     weight_order,
 )
@@ -52,6 +57,48 @@ def rabinowitsch_contains_monomial(generators, n):
     lifted.append(Polynomial.from_dict(
         n + 1, {(1,) * (n + 1): QQ(1), (0,) * (n + 1): QQ(-1)}))
     return contains_one(lifted)
+
+
+def head_coefficient_normal_form(p, basis, heads, order):
+    """Reference: full reduction modulo a basis marked on heads, dividing
+    by each head coefficient."""
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work.pop(exp)
+        if coeff == 0:
+            continue
+        for g, h in zip(basis, heads):
+            if monomial_divides(h, exp):
+                shift = monomial_div(exp, h)
+                factor = coeff / dict(g.terms)[h]
+                for e, c in g.terms:
+                    if e != h:
+                        key = monomial_mul(e, shift)
+                        work[key] = work.get(key, ZERO) - factor * c
+                        if work[key] == 0:
+                            del work[key]
+                break
+        else:
+            remainder[exp] = remainder.get(exp, ZERO) + coeff
+    return Polynomial.from_dict(p.n, remainder)
+
+
+def product_s_polynomial(f, g, hf, hg):
+    """Reference: the S-polynomial as a difference of products, each with
+    the monomial multiplier scaled by its head coefficient."""
+    l = monomial_lcm(hf, hg)
+    mf = Polynomial(f.n, ((monomial_div(l, hf), ONE / dict(f.terms)[hf]),))
+    mg = Polynomial(g.n, ((monomial_div(l, hg), ONE / dict(g.terms)[hg]),))
+    return mf * f - mg * g
+
+
+def monic_on_heads(gb):
+    """Each element's head is its maximal term under gb.order, with
+    coefficient 1."""
+    return all(g.head_monomial(gb.order) == h and dict(g.terms)[h] == 1
+               for g, h in zip(gb.elements, gb.heads))
 
 
 def mask_dimension(n, generators):
@@ -131,6 +178,36 @@ class TestNormalForm:
         gb = buchberger([P("x1 + x2", 2), P("x1*x2", 2)], GRLEX)
         member = P("x1 + x2", 2) * P("x1^2 - x2", 2) + P("x1*x2", 2)
         assert normal_form(member, gb.elements, gb.heads, gb.order).is_zero
+
+
+class TestMarkedReduction:
+    """normal_form and s_polynomial, which rely on bases monic on their
+    heads, agree with the references that divide by head coefficients."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=homogeneous_ideals(), data=st.data())
+    def test_matches_head_coefficient_references(self, case, data):
+        n, gens = case
+        vec = st.tuples(*[st.integers(-3, 3)] * n)
+        order = weight_order(*data.draw(st.lists(vec, min_size=1,
+                                                 max_size=2)))
+        gb = buchberger(gens, order)
+        assert monic_on_heads(gb)
+        els, heads = gb.elements, gb.heads
+        polys = [data.draw(forms(n, data.draw(st.integers(1, 4)),
+                                 st.integers(-3, 3)))]
+        q = data.draw(forms(n, data.draw(st.integers(0, 2)),
+                            st.integers(-3, 3)))
+        polys.append(polys[0] + q * gens[0])
+        for i in range(len(els)):
+            for j in range(i):
+                s = s_polynomial(els[i], els[j], heads[i], heads[j])
+                assert s == product_s_polynomial(els[i], els[j], heads[i],
+                                                 heads[j])
+                polys.append(s)
+        for p in polys:
+            assert normal_form(p, els, heads, order) == \
+                head_coefficient_normal_form(p, els, heads, order)
 
 
 class TestBuchberger:
@@ -303,3 +380,4 @@ class TestSympyOracle:
         gb = buchberger(gens, order)
         assert set(gb.elements) == sympy_basis(n, gens, order)
         assert gb.heads == tuple(g.head_monomial(order) for g in gb.elements)
+        assert monic_on_heads(gb)

@@ -19,7 +19,6 @@ from tropgen.special import (
     linear_groebner_cone,
     linear_ideal,
     parse_matrix_file,
-    plateau_cone,
     pure_power_coefficients,
     right_block_nonzero,
 )

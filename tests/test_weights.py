@@ -224,6 +224,10 @@ class TestFanEnumeration:
             fresh = weight_gb(J, p, row)
             assert lifted.heads == fresh.heads, row
             assert lifted.elements == fresh.elements, row
+            # the lifted basis is monic on its heads, as reduction assumes
+            assert all(g.head_monomial(lifted.order) == h
+                       and dict(g.terms)[h] == 1
+                       for g, h in zip(lifted.elements, lifted.heads)), row
             assert other == groebner_cone(fresh, p, row)
 
     def test_interiors_are_disjoint(self):
