@@ -37,8 +37,8 @@ from .generic import (
     check_symmetry,
     generic_membership_map,
 )
-from .groebner import (contains_monomial, krull_dimension, normal_form,
-                       reduced_gb)
+from .groebner import (buchberger, contains_monomial, krull_dimension,
+                       normal_form)
 from .linalg import QQ, rref
 from .poly import (
     GRLEX,
@@ -188,7 +188,7 @@ def _monomial_certificate(n, gens):
             return g.monic()
     # the smallest power of x1*..*xn in in_w(I); the search ends, since a
     # monomial m of in_w(I) divides (x1*..*xn)^k for k its largest exponent
-    gb = reduced_gb(Ideal.of(n, gens), GRLEX)
+    gb = buchberger(gens, GRLEX)
     for k in count(1):
         mono = Polynomial(n, ((tuple([k] * n), QQ(1)),))
         if normal_form(mono, gb.elements, gb.heads, gb.order).is_zero:

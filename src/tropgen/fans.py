@@ -40,7 +40,7 @@ class Cone:
     label: Optional[tuple] = None  # for W(n) cones: the sorted index set A
 
 
-def make_cone(n, equalities=(), inequalities=(), label=None) -> Cone:
+def make_cone(n, equalities=(), inequalities=()) -> Cone:
     """Canonicalize the H-representation with integer arithmetic only.
 
     Fraction-free Gauss-Jordan elimination (linalg.echelon) turns the
@@ -58,7 +58,7 @@ def make_cone(n, equalities=(), inequalities=(), label=None) -> Cone:
             q = clear_column(q, erow, c)
         if any(q):
             ineq_rows.add(q)
-    return Cone(n, eq_rows, tuple(sorted(ineq_rows)), label)
+    return Cone(n, eq_rows, tuple(sorted(ineq_rows)))
 
 
 def member(cone: Cone, w) -> bool:

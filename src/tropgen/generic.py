@@ -17,12 +17,12 @@ representative.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
 from .fans import permute_weight, skeleton_membership
-from .groebner import reduced_gb
+from .groebner import buchberger
 from .linalg import QQ, rank
 from .poly import GRLEX, Ideal, Polynomial, TermOrder
 from .weights import MembershipMap, normalize_grid_point
@@ -92,18 +92,17 @@ def normalized_grid(n: int, radius: int) -> tuple:
 
 @dataclass
 class GenericityReport:
-    """Result of a multi-trial generic membership computation."""
+    """Result of a multi-trial generic membership computation that reached
+    agreement: one escalation round per bound used, the last one agreeing."""
 
     ideal: Ideal
     seed: int
     trials: int
     bound: int
     grid_radius: int
-    transforms: tuple = ()  # transforms of the agreeing round
-    membership: dict = field(default_factory=dict)
-    agreed: bool = False
-    retries: int = 0
-    escalations: list = field(default_factory=list)  # bounds actually used
+    transforms: tuple  # transforms of the agreeing round
+    membership: dict
+    escalations: list  # bounds actually used
 
     def to_jsonable(self) -> dict:
         return {
@@ -112,8 +111,8 @@ class GenericityReport:
             "initial_bound": self.bound,
             "grid_radius": self.grid_radius,
             "bounds_used": list(self.escalations),
-            "retries": self.retries,
-            "agreed": self.agreed,
+            "retries": len(self.escalations) - 1,
+            "agreed": True,
             "transforms": [[list(row) for row in g] for g in self.transforms],
             "membership": [[list(w), v]
                            for w, v in sorted(self.membership.items())],
@@ -136,11 +135,10 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                          f"not {grid_radius}, {trials} and {bound}")
     n = ideal.n
     points = normalized_grid(n, grid_radius)
-    report = GenericityReport(ideal=ideal, seed=seed, trials=trials,
-                              bound=bound, grid_radius=grid_radius)
+    escalations = []
     current = bound
     for escalation in range(4):
-        report.escalations.append(current)
+        escalations.append(current)
         maps = []
         transforms = []
         for trial in range(trials):
@@ -149,14 +147,12 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
             mm = MembershipMap(transform_ideal(ideal, g))
             maps.append(tuple(mm.query(w) for w in points))
         if all(m == maps[0] for m in maps[1:]):
-            report.agreed = True
-            report.transforms = tuple(transforms)
-            report.membership = dict(zip(points, maps[0]))
-            return report
-        report.retries += 1
+            return GenericityReport(ideal, seed, trials, bound, grid_radius,
+                                    tuple(transforms),
+                                    dict(zip(points, maps[0])), escalations)
         current *= 2
     raise DisagreementError(
-        f"{trials} trials disagreed at bounds {report.escalations}")
+        f"{trials} trials disagreed at bounds {escalations}")
 
 
 def check_skeleton_equality(report: GenericityReport, m: int):
@@ -164,8 +160,6 @@ def check_skeleton_equality(report: GenericityReport, m: int):
 
     Returns (ok, mismatches); mismatches lists normalized grid points
     where the two sides differ."""
-    if not report.agreed:
-        raise ValueError("report did not reach agreement")
     n = report.ideal.n
     mismatches = [w for w, got in report.membership.items()
                   if got != skeleton_membership(n, m, w)]
@@ -175,8 +169,6 @@ def check_skeleton_equality(report: GenericityReport, m: int):
 def check_symmetry(report: GenericityReport):
     """The agreed membership map is invariant under all coordinate
     permutations.  Returns (ok, counterexample)."""
-    if not report.agreed:
-        raise ValueError("report did not reach agreement")
     n = report.ideal.n
     for perm in permutations(range(n)):
         for w, verdict in report.membership.items():
@@ -193,8 +185,6 @@ def check_lineality(report: GenericityReport):
     The stored map is keyed on normalized points, for which this holds by
     construction; this re-derives each shifted verdict from scratch on the
     first transform to check the underlying invariance, on a sample."""
-    if not report.agreed:
-        raise ValueError("report did not reach agreement")
     from .weights import in_tropical_variety
 
     J = transform_ideal(report.ideal, report.transforms[0])
@@ -214,5 +204,6 @@ def gb_support_stability(ideal: Ideal, order: TermOrder = GRLEX,
     supports = []
     for trial in range(trials):
         g = random_transform(ideal.n, bound, trial_seed(seed, trial))
-        supports.append(reduced_gb(transform_ideal(ideal, g), order).supports())
+        supports.append(buchberger(transform_ideal(ideal, g).generators,
+                                   order).supports())
     return all(s == supports[0] for s in supports[1:])

@@ -148,10 +148,6 @@ def interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
     return MarkedGB(n, order, elements, heads)
 
 
-def reduced_gb(ideal: Ideal, order: TermOrder = GRLEX) -> MarkedGB:
-    return buchberger(list(ideal.generators), order)
-
-
 def contains_monomial(generators, n: int) -> bool:
     """True iff the homogeneous ideal J the generators span contains a
     monomial, which holds iff its saturation by xn, ..., x1 in turn is 1.
@@ -209,7 +205,7 @@ def _fewest_meeting_variables(supports) -> int:
 
 def krull_dimension(ideal: Ideal) -> int:
     """Krull dimension of R/I via the head ideal of a graded-lex basis."""
-    gb = reduced_gb(ideal, GRLEX)
+    gb = buchberger(ideal.generators, GRLEX)
     if any(h == (0,) * gb.n for h in gb.heads):
         raise ImproperIdealError("ideal is the whole ring")
     return monomial_ideal_dimension(ideal.n, gb.heads)

@@ -5,15 +5,17 @@ terms sorted by graded-lex with x1 > x2 > ... > xn, leading term first; this
 canonical form makes equality structural and hashing cheap.  All arithmetic
 is exact.
 
-Term orders compare monomials by a "preference" key; the most preferred
-monomial of a polynomial is its head (the marked term of a Groebner basis
-element).  For weight-refined orders the key is (total degree, -weights,
-lex), so on homogeneous input the head is the term of minimal weight under
-the first weight, ties going to the next weight and then towards x1.  This
-matches the convention of taking initial forms of minimal weight, and the
-degree-first component keeps the comparison a genuine global term order (1
-is the least monomial), so Buchberger's algorithm terminates on
-inhomogeneous input as well.
+Every term order is a weight order: it compares total degree first, then
+the weights in turn, then lex.  A monomial's "preference" key is (total
+degree, -weights, lex); the most preferred monomial of a polynomial is its
+head (the marked term of a Groebner basis element).  So on homogeneous
+input the head is the term of minimal weight under the first weight, ties
+going to the next weight and finally towards x1; with no weights the order
+is graded lex.  On a graded ideal, weights and this tie-break fix every
+initial ideal the engine uses (Sturmfels, Groebner Bases and Convex
+Polytopes, ch. 1), and the degree-first component keeps the comparison a
+genuine global term order (1 is the least monomial), so Buchberger's
+algorithm terminates on inhomogeneous input as well.
 """
 
 from __future__ import annotations
@@ -74,42 +76,33 @@ def _canonical_key(exp):
 class TermOrder:
     """Total order on monomials used for marking Groebner basis heads.
 
-    kind is "lex", "grlex" or "weight".  A weight order refines a list of
-    weight vectors in turn: heads have minimal weight under the first,
-    ties go to the next weight and remaining ties to lex; total degree is
-    compared first so the order is global even for negative weights.
+    It refines a list of weight vectors, possibly empty, in turn: total
+    degree is compared first, so the order is global even for negative
+    weights; then heads have minimal weight under the first vector, ties
+    go to the next and remaining ties to lex.  Weights are stored as
+    primitive integer vectors, so equal orders compare equal.
     """
 
-    kind: str
-    weights: tuple = ()
+    weights: tuple
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grlex", "weight"):
-            raise ValueError(f"unknown term order kind {self.kind!r}")
-        if (self.kind == "weight") != bool(self.weights):
-            raise ValueError("weight vectors present iff kind == 'weight'")
         object.__setattr__(self, "weights",
                            tuple(primitive(w) for w in self.weights))
 
     def key(self, exp):
         """Preference key; the head of a polynomial maximizes it."""
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grlex":
-            return (sum(exp), exp)
         return (sum(exp), tuple([-sum(map(mul, w, exp)) for w in self.weights]),
                 exp)
-
-
-GRLEX = TermOrder("grlex")
-LEX = TermOrder("lex")
 
 
 def weight_order(*weights) -> TermOrder:
     """The order refining the weights in turn, then lex: on monomials of
     one degree it is the order of w1 + eps*w2 + eps^2*w3 + ... for every
     small enough eps > 0 (ties broken by lex)."""
-    return TermOrder("weight", weights=weights)
+    return TermOrder(weights)
+
+
+GRLEX = weight_order()
 
 
 # ---------------------------------------------------------------------------

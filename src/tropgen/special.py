@@ -42,7 +42,7 @@ from .generic import (
     trial_seed,
 )
 from .groebner import krull_dimension
-from .linalg import QQ, mat_mul, primitive, rank, rref
+from .linalg import QQ, mat_mul, primitive, rank
 from .poly import Ideal, ParseError, Polynomial
 from .weights import (
     MembershipMap,
@@ -175,7 +175,12 @@ def check_minors(rows, n) -> bool:
 
 
 def right_block_nonzero(reduced, n) -> bool:
-    """Every entry of the * block of a matrix in [I_r | *] form nonzero."""
+    """Every entry of the * block of a matrix in [I_r | *] form nonzero.
+
+    check_minors implies it: when every maximal minor is nonzero, the
+    first r columns are independent, so the reduced form is [I_r | *], and
+    by Cramer's rule each * entry is, up to sign, a ratio of two maximal
+    minors."""
     r = len(reduced)
     return all(reduced[i][j] != 0 for i in range(r) for j in range(r, n))
 
@@ -228,11 +233,10 @@ def linear_groebner_cone(r, n, w) -> Cone:
     n variables.
 
     Precondition, not checked here: the ideal's matrix is generic, that
-    is its reduced form is [I_r | *] with every * entry nonzero
-    (right_block_nonzero) and every maximal minor nonzero (check_minors).
-    Then the cone depends on (r, n, w) only: sort the coordinates of w;
-    the block structure around position r decides (see module
-    docstring)."""
+    is every maximal minor is nonzero (check_minors), so its reduced form
+    is [I_r | *] with every * entry nonzero (right_block_nonzero).  Then
+    the cone depends on (r, n, w) only: sort the coordinates of w; the
+    block structure around position r decides (see module docstring)."""
     if not 1 <= r <= n - 1:
         raise ValueError("rank must be between 1 and n-1")
     order = sorted(range(n), key=lambda i: (w[i], i))
@@ -305,11 +309,12 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
     """Run the linear-ideal checks for one coefficient matrix A (its rows).
 
     (a) n - rank(A) equals the Krull dimension of the ideal; (b) for
-    random transforms g, all maximal minors of A*g and all right-block
-    entries of (A*g)_red are nonzero; (c) the closed-form cone agrees with
-    the Groebner engine on random weights; (d) grid membership of the
-    generic tropical variety equals the m-skeleton of W(n); (e) every
-    maximal cone of W(n)^m is one of the closed-form plateau cones.
+    random transforms g, all maximal minors of A*g are nonzero, so the
+    right-block entries of its reduced form are too (right_block_nonzero);
+    (c) the closed-form cone agrees with the Groebner engine on random
+    weights; (d) grid membership of the generic tropical variety equals
+    the m-skeleton of W(n); (e) every maximal cone of W(n)^m is one of the
+    closed-form plateau cones.
     """
     import random as _random
 
@@ -335,13 +340,8 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
             report.minors_nonzero = False
             report.mismatches.append(("minors", trial))
             continue
-        reduced, pivots = rref(Ag)
-        if pivots != tuple(range(r)) or not right_block_nonzero(reduced, n):
-            report.minors_nonzero = False
-            report.mismatches.append(("right_block", trial))
-            continue
         if generic_rows is None:
-            generic_rows = reduced
+            generic_rows = Ag
 
     if generic_rows is not None:
         # generic: the closed form's precondition holds for this ideal

@@ -19,7 +19,7 @@ from math import gcd
 
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
 from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
-                       normal_form, reduced_gb)
+                       normal_form)
 from .halfspaces import facets
 from .linalg import vec_dot
 from .poly import Ideal, Polynomial, weight_order
@@ -61,7 +61,7 @@ def weight_gb(ideal: Ideal, *weights) -> MarkedGB:
     """Reduced Groebner basis for the order refining the weights in turn;
     on graded ideals the marked head of each element is its minimal-weight
     term under the first weight, ties going to the next (lex-max last)."""
-    return reduced_gb(ideal, weight_order(*weights))
+    return buchberger(ideal.generators, weight_order(*weights))
 
 
 def initial_ideal_generators(ideal: Ideal, w) -> tuple:
@@ -72,12 +72,7 @@ def initial_ideal_generators(ideal: Ideal, w) -> tuple:
 
 def in_tropical_variety(ideal: Ideal, w) -> bool:
     """w lies in T(I) iff in_w(I) contains no monomial."""
-    return _no_monomial_initial(weight_gb(ideal, w), w)
-
-
-def _no_monomial_initial(gb: MarkedGB, w) -> bool:
-    """The tropical verdict at w read off the w-refined basis gb."""
-    return not contains_monomial([initial_form(g, w) for g in gb.elements], gb.n)
+    return not contains_monomial(initial_ideal_generators(ideal, w), ideal.n)
 
 
 def groebner_cone(gb: MarkedGB, *weights) -> Cone:
@@ -257,7 +252,8 @@ class MembershipMap:
         else:
             gb = weight_gb(self.ideal, key)
             self._bases.insert(0, gb)
-        verdict = _no_monomial_initial(gb, key)
+        verdict = not contains_monomial(
+            [initial_form(g, key) for g in gb.elements], gb.n)
         cone = groebner_cone(gb, key)
         self._cones.insert(0, (cone, verdict))
         return verdict

@@ -366,7 +366,7 @@ class TestCanonicalOutputs:
         code, out, _ = run(capsys, "verify-corpus", str(CORPUS), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "70c048179d411f70a89cd1d317abefa444231c776c24c86ab4f6baa84ddb6d4b")
+            "c01697863a1d9ebc738255d3b8f139819ab10a8dba5b42a6843081338577244b")
 
     def test_groebner_fan_json(self, capsys):
         code, out, _ = run(capsys, "fan", "groebner",

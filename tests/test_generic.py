@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from tropgen import generic
 from tropgen.fans import permute_weight, skeleton_membership
 from tropgen.generic import (
     TransformSearchError,
@@ -16,8 +17,9 @@ from tropgen.generic import (
     normalized_grid,
     random_transform,
     transform_ideal,
+    trial_seed,
 )
-from tropgen.groebner import krull_dimension, reduced_gb
+from tropgen.groebner import buchberger, krull_dimension
 from tropgen.linalg import QQ
 from tropgen.poly import GRLEX, Ideal, parse_polynomial
 from tropgen.weights import MembershipMap, normalize_grid_point
@@ -98,7 +100,8 @@ class TestApplyTransform:
         g = random_transform(3, 5, 11)
         back = transform_ideal(transform_ideal(ideal, g), mat_inverse(g))
         # same ideal: identical reduced bases
-        assert reduced_gb(back, GRLEX).elements == reduced_gb(ideal, GRLEX).elements
+        assert buchberger(back.generators, GRLEX).elements == \
+            buchberger(ideal.generators, GRLEX).elements
 
     def test_dimension_invariance(self):
         for seed, ideal in enumerate([
@@ -135,8 +138,8 @@ class TestPermuteColumns:
                 renamed_gens.append(
                     parse_polynomial("0", 3).from_dict(3, moved))
             renamed = Ideal.of(3, tuple(renamed_gens))
-            assert reduced_gb(direct, GRLEX).elements == \
-                reduced_gb(renamed, GRLEX).elements
+            assert buchberger(direct.generators, GRLEX).elements == \
+                buchberger(renamed.generators, GRLEX).elements
 
     def test_composition(self):
         g = random_transform(4, 4, 5)
@@ -154,7 +157,7 @@ class TestCampaigns:
     def test_monomial_map_is_diagonal(self):
         report = generic_membership_map(I(2, "x1*x2"), grid_radius=3,
                                         trials=2, bound=10, seed=1)
-        assert report.agreed
+        assert report.escalations == [10]
         for w, verdict in report.membership.items():
             assert verdict == (w[0] == w[1])
 
@@ -192,6 +195,25 @@ class TestCampaigns:
         with pytest.raises(ValueError):
             generic_membership_map(I(2, "x1*x2"), **kwargs)
 
+    def test_escalation_is_reported(self, monkeypatch):
+        # the identity as the first transform of round 0 keeps T((x2 + x3))
+        # = {w2 = w3}, which no generic trial agrees with: one retry
+        real = generic.random_transform
+
+        def first_is_identity(n, bound, seed):
+            if seed == trial_seed(1, 0):
+                return tuple(tuple(int(i == j) for j in range(n))
+                             for i in range(n))
+            return real(n, bound, seed)
+
+        monkeypatch.setattr(generic, "random_transform", first_is_identity)
+        report = generic_membership_map(I(3, "x2 + x3"), grid_radius=2,
+                                        trials=2, bound=10, seed=1)
+        data = report.to_jsonable()
+        assert (data["bounds_used"], data["retries"], data["agreed"]) == (
+            [10, 20], 1, True)
+        assert check_skeleton_equality(report, 2)[0]
+
     def test_grid_is_shared(self):
         assert normalized_grid(4, 3) is normalized_grid(4, 3)
 
@@ -223,7 +245,7 @@ class TestSupportStability:
         # the generic support is every degree-2 monomial
         g = random_transform(3, 50, 123)
         transformed = transform_ideal(ideal, g)
-        gb = reduced_gb(transformed, GRLEX)
+        gb = buchberger(transformed.generators, GRLEX)
         assert len(gb.elements) == 1
         assert len(gb.elements[0].terms) == comb(3 + 2 - 1, 2)
 

@@ -15,16 +15,13 @@ from tropgen.groebner import (
     minimal_monomial_generators,
     monomial_ideal_dimension,
     normal_form,
-    reduced_gb,
     s_polynomial,
 )
 from tropgen.poly import (
     GRLEX,
-    LEX,
     Ideal,
     ImproperIdealError,
     Polynomial,
-    TermOrder,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -212,7 +209,8 @@ class TestMarkedReduction:
 
 class TestBuchberger:
     def test_classic_pair(self):
-        gb = reduced_gb(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3"), GRLEX)
+        gb = buchberger(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3").generators,
+                        GRLEX)
         # the s-pairs close up with two extra elements
         assert len(gb.elements) == 4
         assert sorted(gb.heads) == [(0, 4, 0), (1, 0, 1), (1, 2, 0), (2, 0, 0)]
@@ -225,20 +223,21 @@ class TestBuchberger:
         assert gb1.heads == gb2.heads
 
     def test_membership_soundness(self):
-        gb = reduced_gb(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3"), GRLEX)
+        gb = buchberger(I(3, "x1*x3 - x2^2", "x1^2 - x2*x3").generators,
+                        GRLEX)
         f = P("x1*x3 - x2^2", 3) * P("x1 + 7*x3", 3)
         assert normal_form(f, gb.elements, gb.heads, gb.order).is_zero
         assert not normal_form(P("x1^2", 3), gb.elements, gb.heads,
                                gb.order).is_zero
 
     def test_monomial_ideal_gb_is_generators(self):
-        gb = reduced_gb(I(3, "x1*x2", "x1*x3", "x2*x3"), GRLEX)
+        gb = buchberger(I(3, "x1*x2", "x1*x3", "x2*x3").generators, GRLEX)
         assert sorted(gb.heads) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
     def test_weight_order_marks_minimal_weight_terms(self):
-        gb = reduced_gb(I(2, "x1 + x2"), weight_order((0, 1)))
+        gb = buchberger(I(2, "x1 + x2").generators, weight_order((0, 1)))
         assert gb.heads == ((1, 0),)
-        gb = reduced_gb(I(2, "x1 + x2"), weight_order((1, 0)))
+        gb = buchberger(I(2, "x1 + x2").generators, weight_order((1, 0)))
         assert gb.heads == ((0, 1),)
 
 
@@ -309,7 +308,7 @@ class TestDimension:
         base = krull_dimension(ideal)
         for _ in range(5):
             w = tuple(rng.randint(-4, 4) for _ in range(3))
-            gb = reduced_gb(ideal, weight_order(w))
+            gb = buchberger(ideal.generators, weight_order(w))
             assert monomial_ideal_dimension(3, gb.heads) == base
 
 
@@ -365,7 +364,7 @@ class TestSympyOracle:
             (0, 0, 2), (0, 1, 1), (2, 0, 1), (1, 3, 0)}
         assert theirs == set(buchberger(gens, order).elements)
 
-    @pytest.mark.parametrize("kind", ["lex", "grlex", "weight"])
+    @pytest.mark.parametrize("kind", ["grlex", "weight"])
     @settings(max_examples=100, deadline=None)
     @given(case=homogeneous_ideals(), data=st.data())
     def test_reduced_basis_matches_sympy(self, sympy_basis, kind, case,
@@ -376,7 +375,7 @@ class TestSympyOracle:
             order = weight_order(*data.draw(st.lists(vec, min_size=1,
                                                      max_size=2)))
         else:
-            order = TermOrder(kind)
+            order = GRLEX
         gb = buchberger(gens, order)
         assert set(gb.elements) == sympy_basis(n, gens, order)
         assert gb.heads == tuple(g.head_monomial(order) for g in gb.elements)

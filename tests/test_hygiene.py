@@ -1,13 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no public function, class or method is defined that the package never
-uses."""
+no public function, class or method is defined that the package never
+uses, and every name the benchmark's tracer wraps still resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tropgen"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -126,3 +128,28 @@ def test_method_usage_detector():
     assert uses_outside_definitions(sources) == {
         "a.Shape": True, "a.Shape.area": False, "a.Shape.scaled": True,
         "a.Shape.named": True}
+
+
+def traced_names() -> tuple:
+    """The TRACED names of the benchmark's tracer, read from its source
+    without importing the benchmark."""
+    for node in ast.parse(TRACER.read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED assignment in {TRACER}")
+
+
+def test_every_traced_name_resolves():
+    # the tracer looks each "<module>.<name>" or "<module>.<Class>.<name>"
+    # up in vars() of its owner; a deleted binding would break only the
+    # traced benchmark run
+    missing = []
+    for name in traced_names():
+        module, *path, attr = name.split(".")
+        owner = importlib.import_module("tropgen." + module)
+        for part in path:
+            owner = getattr(owner, part)
+        if attr not in vars(owner):
+            missing.append(name)
+    assert missing == []

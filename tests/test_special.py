@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropgen import special
 from tropgen.fans import same_cone
@@ -117,6 +119,20 @@ class TestMinors:
         hits = sum(check_minors(mat_mul(A, random_transform(4, 50, s)), 4)
                    for s in range(5))
         assert hits >= 4  # non-generic draws are rare
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_minors_imply_right_block(self, data):
+        # by Cramer's rule each * entry of the reduced form [I_r | *] is,
+        # up to sign, a ratio of two maximal minors
+        n = data.draw(st.integers(2, 5))
+        r = data.draw(st.integers(1, n - 1))
+        row = st.tuples(*[st.integers(-9, 9)] * n)
+        rows = data.draw(st.lists(row, min_size=r, max_size=r))
+        assume(check_minors(rows, n))
+        reduced, pivots = rref(rows)
+        assert pivots == tuple(range(r))
+        assert right_block_nonzero(reduced, n)
 
     def test_rank_invariance(self):
         A = ((1, 1, 1), (1, 2, 3))
