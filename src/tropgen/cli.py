@@ -7,11 +7,12 @@ runs with the same input, seed and flags.
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials or
---bound below 1, a matrix without 1 <= r <= n - 1 independent rows), 3
-improper ideal (contains a unit) or, for linear -w, a matrix that fails
-the closed form's genericity condition (a vanishing right-block entry or
-maximal minor), 4 persistent transform disagreement or no suitable random
-transform within --bound, 5 fan budget exceeded.
+--bound below 1, a matrix without 1 <= r <= n - 1 independent rows, an
+input file that is not UTF-8, an integer literal longer than Python
+converts), 3 improper ideal (contains a unit) or, for linear -w, a matrix
+that fails the closed form's genericity condition (a vanishing right-block
+entry or maximal minor), 4 persistent transform disagreement or no
+suitable random transform within --bound, 5 fan budget exceeded.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .poly import (
     ParseError,
     Polynomial,
     parse_ideal_file,
+    read_input,
 )
 from .special import (
     NonGenericMatrixError,
@@ -140,11 +142,7 @@ def _parser():
 
 
 def _load_ideal(path) -> Ideal:
-    try:
-        with open(path) as fh:
-            return parse_ideal_file(fh.read())
-    except OSError as exc:
-        raise ParseError(str(exc), 0)
+    return parse_ideal_file(read_input(path))
 
 
 def _parse_weight(text, n):
@@ -272,11 +270,7 @@ def cmd_fan(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    try:
-        with open(args.matrix) as fh:
-            rows = parse_matrix_file(fh.read())
-    except OSError as exc:
-        raise ParseError(str(exc), 0)
+    rows = parse_matrix_file(read_input(args.matrix))
     n = len(rows[0])
     reduced, pivots = rref(rows)
     r = len(reduced)

@@ -8,16 +8,28 @@ deterministic.  Heads are the order-maximal terms under the preference key
 of the order; for weight-refined orders on homogeneous input this marks the
 terms of minimal weight.
 
-Every marked basis is monic on its heads (Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, ch. 2 section 7); the reduction code relies on
-it and reads no head coefficient.
+The engine is fraction-free.  Inside buchberger, interreduce and
+normal_form an element is a primitive integer polynomial, kept as its head
+x^h, a positive head coefficient a and an integer tail (its exponents and
+its coefficients as two tuples, so that converting a basis makes no tuple
+per term for Python's free lists to keep).  Reducing a term c*x^e by it
+scales the working polynomial and the remainder by a/gcd(a, c) and
+subtracts (c/gcd(a, c))*x^(e - h) times the tail, so every intermediate
+value is an integer; a new basis element is made primitive once, when its
+reduction ends.  Fractions appear only where polynomials enter (their
+denominators are cleared with numerator and denominator, no arithmetic)
+and where they leave: interreduce divides each element of the reduced
+basis by its head coefficient once, so every MarkedGB is monic on its
+heads (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+section 7), with Fraction coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .linalg import ZERO, ONE
+from .linalg import QQ, ONE
 from .poly import (
     GRLEX,
     Ideal,
@@ -47,57 +59,96 @@ class MarkedGB:
         return frozenset(g.support() for g in self.elements)
 
 
-def _add_shifted_tail(work: dict, g: Polynomial, h, shift, factor) -> None:
-    """work += factor * x^shift * (g - its head term h), in place, deleting
-    each entry as it becomes zero."""
-    for e, c in g.terms:
-        if e != h:
-            key = monomial_mul(e, shift)
-            c = work.get(key, ZERO) + factor * c
-            if c:
-                work[key] = c
-            else:
-                del work[key]
+def _integral(p: Polynomial) -> tuple:
+    """(coefficients, d): the integer coefficients of d*p by exponent, for
+    the least d > 0 that makes them integers."""
+    d = 1
+    for _, c in p.terms:
+        d = lcm(d, c.denominator)
+    return {e: c.numerator * (d // c.denominator) for e, c in p.terms}, d
+
+
+def _primitive(coeffs: dict, h) -> tuple:
+    """(a, exps, cs) of the primitive integer multiple of the polynomial
+    with these integer coefficients (consumed) whose coefficient a on its
+    head x^h is positive; its tail has the terms cs[i]*x^exps[i]."""
+    g = 0
+    for c in coeffs.values():
+        g = gcd(g, c)
+    if coeffs[h] < 0:
+        g = -g
+    a = coeffs.pop(h)
+    return a // g, tuple(coeffs), tuple([c // g for c in coeffs.values()])
+
+
+def _elements(polys, heads) -> list:
+    """The primitive integer elements of nonzero polynomials marked on
+    heads."""
+    return [_primitive(_integral(g)[0], h) for g, h in zip(polys, heads)]
+
+
+def _add_shifted_tail(work: dict, exps, cs, shift, factor) -> None:
+    """work += factor * x^shift * sum of cs[i]*x^exps[i], in place,
+    deleting each entry as it becomes zero."""
+    for e, c in zip(exps, cs):
+        key = monomial_mul(e, shift)
+        c = work.get(key, 0) + factor * c
+        if c:
+            work[key] = c
+        else:
+            del work[key]
+
+
+def _reduce(work: dict, basis, heads, order: TermOrder) -> tuple:
+    """(r, s): the remainder r of s*p on full reduction (tail reduction
+    included) modulo the primitive integer elements basis, marked on heads,
+    for the integer polynomial p whose coefficients work holds, and an
+    integer s > 0.  work is consumed.
+
+    Each basis element is a*x^h + tail with a > 0 and every tail term
+    smaller than x^h under order.  A term c*x^e that x^h divides is removed
+    by scaling everything by a/gcd(a, c) and subtracting
+    (c/gcd(a, c))*x^(e - h)*(a*x^h + tail), which leaves only terms smaller
+    than x^e.  Terms are taken largest first, so each monomial leaves work
+    once, to be reduced or to enter the remainder."""
+    remainder = {}
+    scale = 1
+    while work:
+        exp = max(work, key=order.key)
+        c = work.pop(exp)
+        for g, h in zip(basis, heads):
+            if monomial_divides(h, exp):
+                a, exps, cs = g
+                k = gcd(a, c)
+                if k != a:
+                    s = a // k
+                    scale *= s
+                    work = {e: s * v for e, v in work.items()}
+                    remainder = {e: s * v for e, v in remainder.items()}
+                _add_shifted_tail(work, exps, cs, monomial_div(exp, h),
+                                  -(c // k))
+                break
+        else:
+            remainder[exp] = c
+    return remainder, scale
 
 
 def normal_form(p: Polynomial, basis, heads, order: TermOrder) -> Polynomial:
-    """Fully reduce p modulo the marked basis (tail reduction included).
-
-    Precondition: each basis element is monic on its head, its term that
-    is maximal under order.  A term c*x^a that heads[i] divides is then
-    replaced by -c*x^(a - heads[i]) times the tail of basis[i], whose terms
-    are all smaller than x^a.  Terms are taken largest first, so each
-    monomial leaves work once, to be reduced or to enter the remainder."""
-    remainder = {}
-    work = dict(p.terms)
-    while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
-        for g, h in zip(basis, heads):
-            if monomial_divides(h, exp):
-                _add_shifted_tail(work, g, h, monomial_div(exp, h), -coeff)
-                break
-        else:
-            remainder[exp] = coeff
-    return Polynomial.from_dict(p.n, remainder)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, hf, hg) -> Polynomial:
-    """x^(l - hf)*f - x^(l - hg)*g for l = lcm(hf, hg), with f and g monic
-    on their heads hf and hg: the two heads cancel, leaving the shifted
-    tails."""
-    l = monomial_lcm(hf, hg)
-    shift = monomial_div(l, hf)
-    work = {monomial_mul(e, shift): c for e, c in f.terms if e != hf}
-    _add_shifted_tail(work, g, hg, monomial_div(l, hg), -ONE)
-    return Polynomial.from_dict(f.n, work)
+    """Fully reduce p modulo the basis marked on heads, each head the
+    element's term that is maximal under order (tail reduction included).
+    The coefficients stay integers until the remainder is divided by the
+    scale that clearing denominators and reduction introduced."""
+    work, d = _integral(p)
+    r, s = _reduce(work, _elements(basis, heads), heads, order)
+    return Polynomial.from_dict(p.n, {e: QQ(c, d * s) for e, c in r.items()})
 
 
 def buchberger(generators, order: TermOrder) -> MarkedGB:
     """Reduced marked Groebner basis of the ideal the generators span."""
     n = generators[0].n
-    basis = [g.monic(order) for g in generators if not g.is_zero]
-    heads = [g.head_monomial(order) for g in basis]
+    generators = [g for g in generators if not g.is_zero]
+    heads = [g.head_monomial(order) for g in generators]
+    basis = _elements(generators, heads)
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     while pairs:
@@ -116,33 +167,50 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
                and (max(j, k), min(j, k)) not in pairs
                for k in range(len(basis))):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], hi, hj), basis, heads, order)
-        if not r.is_zero:
-            r = r.monic(order)
-            basis.append(r)
-            heads.append(r.head_monomial(order))
+        # the S-pair: a_j*x^(l - hi)*f_i - a_i*x^(l - hj)*f_j over
+        # gcd(a_i, a_j), whose heads cancel, leaving the shifted tails
+        (ai, ei, ci), (aj, ej, cj) = basis[i], basis[j]
+        c = gcd(ai, aj)
+        work = {}
+        _add_shifted_tail(work, ei, ci, monomial_div(l, hi), aj // c)
+        _add_shifted_tail(work, ej, cj, monomial_div(l, hj), -(ai // c))
+        r, _ = _reduce(work, basis, heads, order)
+        if r:
+            h = max(r, key=order.key)
+            basis.append(_primitive(r, h))
+            heads.append(h)
             new = len(basis) - 1
             pairs.update((new, k) for k in range(new))
 
-    return interreduce(n, basis, heads, order)
+    return _interreduce(n, basis, heads, order)
 
 
 def interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
-    """The reduced marked basis from a Groebner basis whose element i is
-    monic on its head heads[i] under order: drop elements whose head
-    another head divides, then reduce each tail by the others.  No kept
-    head divides another, and reduction only adds terms smaller than the
-    one it removes, so each head leaves normal_form first, unreduced, with
-    its coefficient 1: the results are monic on the same heads."""
+    """The reduced marked basis from a Groebner basis of polynomials marked
+    on heads, each head the element's term that is maximal under order."""
+    return _interreduce(n, _elements(basis, heads), heads, order)
+
+
+def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
+    """interreduce on primitive integer elements: drop elements whose head
+    another head divides, then reduce each tail by the others and divide
+    by the head coefficient.  No kept head divides another, and reduction
+    only adds terms smaller than the one it removes, so each head stays
+    unreduced, with coefficient a*s for the scale s of its tail's
+    reduction: the results are monic on the same heads."""
     keep = [i for i, h in enumerate(heads)
             if not any(j != i and monomial_divides(heads[j], h)
                        and (heads[j] != h or j < i) for j in range(len(heads)))]
     basis = [basis[i] for i in keep]
     heads = [heads[i] for i in keep]
-    reduced = [normal_form(g, basis[:i] + basis[i + 1:],
-                           heads[:i] + heads[i + 1:], order)
-               for i, g in enumerate(basis)]
-    combined = sorted(zip(heads, reduced), key=lambda t: order.key(t[0]))
+    combined = []
+    for i, ((a, exps, cs), h) in enumerate(zip(basis, heads)):
+        r, s = _reduce(dict(zip(exps, cs)), basis[:i] + basis[i + 1:],
+                       heads[:i] + heads[i + 1:], order)
+        r = {e: QQ(c, a * s) for e, c in r.items()}
+        r[h] = ONE
+        combined.append((h, Polynomial.from_dict(n, r)))
+    combined.sort(key=lambda t: order.key(t[0]))
     heads = tuple(h for h, _ in combined)
     elements = tuple(g for _, g in combined)
     return MarkedGB(n, order, elements, heads)

@@ -259,6 +259,16 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(digits: str, position: int) -> int:
+    """The value of a decimal literal; ParseError where it is longer than
+    Python converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too "
+                         f"long", position) from None
+
+
 def parse_polynomial(text: str, n: int) -> Polynomial:
     """Parse the grammar: terms joined by +/-, each an optional rational
     coefficient and '*'-separated variable powers xi^k."""
@@ -286,20 +296,20 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         while i < len(tokens):
             tok, pos = tokens[i]
             if tok.isdigit():
-                value = QQ(int(tok))
+                value = QQ(_integer(tok, pos))
                 i += 1
                 if i < len(tokens) and tokens[i][0] == "/":
                     i += 1
                     if i >= len(tokens) or not tokens[i][0].isdigit():
                         raise ParseError("expected denominator", pos)
-                    d = int(tokens[i][0])
+                    d = _integer(*tokens[i])
                     if d == 0:
                         raise ParseError("zero denominator", tokens[i][1])
                     value = value / d
                     i += 1
                 coeff *= value
             elif tok.startswith("x"):
-                idx = int(tok[1:])
+                idx = _integer(tok[1:], pos + 1)
                 if not 1 <= idx <= n:
                     raise ParseError(f"variable index {idx} out of range 1..{n}", pos)
                 power = 1
@@ -308,7 +318,7 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     i += 1
                     if i >= len(tokens) or not tokens[i][0].isdigit():
                         raise ParseError("expected exponent", pos)
-                    power = int(tokens[i][0])
+                    power = _integer(*tokens[i])
                     i += 1
                 exp[idx - 1] += power
             else:
@@ -357,6 +367,19 @@ def format_polynomial(p: Polynomial) -> str:
     return "".join(parts)
 
 
+def read_input(path) -> str:
+    """The text of an input file, which must be UTF-8; ParseError if it
+    cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc), 0) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                         exc.start) from None
+
+
 def parse_ideal_file(text: str) -> Ideal:
     """Ideal file: first non-comment line 'vars: n', then one generator per
     line; '#' lines are comments."""
@@ -370,7 +393,7 @@ def parse_ideal_file(text: str) -> Ideal:
             m = re.fullmatch(r"vars:\s*(\d+)", line)
             if m is None:
                 raise ParseError(f"line {lineno}: expected 'vars: n' header", 0)
-            n = int(m.group(1))
+            n = _integer(m.group(1), m.start(1))
             if n < 1:
                 raise ParseError(f"line {lineno}: need at least one variable", 0)
             continue

@@ -202,7 +202,10 @@ def parse_matrix_file(text: str) -> tuple:
             m = re.fullmatch(r"matrix:\s*(\d+)\s+(\d+)", line)
             if m is None:
                 raise ParseError(f"line {lineno}: expected 'matrix: r n' header", 0)
-            header = (int(m.group(1)), int(m.group(2)))
+            try:
+                header = (int(m.group(1)), int(m.group(2)))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad header: {exc}", 0) from None
             continue
         entries = line.split()
         if len(entries) != header[1]:

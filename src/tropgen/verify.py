@@ -35,6 +35,7 @@ from .poly import (
     ParseError,
     Polynomial,
     parse_ideal_file,
+    read_input,
     weight_order,
 )
 from .special import (
@@ -82,8 +83,10 @@ class Corpus:
         manifest_path = self.directory / "manifest.json"
         if not manifest_path.exists():
             raise ParseError(f"no manifest.json in {directory}", 0)
-        with open(manifest_path) as fh:
-            self.manifest = json.load(fh)
+        try:
+            self.manifest = json.loads(read_input(manifest_path))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad corpus manifest: {exc}", exc.pos) from None
         if not self.manifest.get("ideals"):
             raise ParseError("empty corpus manifest", 0)
         self._cache = {}
@@ -99,8 +102,8 @@ class Corpus:
 
     def ideal(self, name) -> Ideal:
         if name not in self._cache:
-            with open(self.directory / name) as fh:
-                self._cache[name] = parse_ideal_file(fh.read())
+            self._cache[name] = parse_ideal_file(
+                read_input(self.directory / name))
         return self._cache[name]
 
 

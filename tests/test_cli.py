@@ -72,6 +72,50 @@ class TestDim:
         assert code == 3
 
 
+# longer than the 4,300 digits Python converts to an int by default
+LONG = "1" * 5000
+
+
+class TestUnreadableInput:
+    """Input that Python itself cannot convert or decode is a parse error
+    (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        f"vars: {LONG}\nx1\n",              # variable count
+        f"vars: 2\n{LONG}*x1 + x2\n",       # coefficient
+        f"vars: 2\n1/{LONG}*x1 + x2\n",     # denominator
+        f"vars: 2\nx1^{LONG}\n",            # exponent
+        f"vars: 2\nx{LONG}\n",              # variable index
+    ], ids=["vars", "coefficient", "denominator", "exponent", "index"])
+    def test_overlong_integer_literal_exit_2(self, capsys, tmp_path, text):
+        f = tmp_path / "long"
+        f.write_text(text)
+        code, out, err = run(capsys, "dim", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: integer literal of 5000 digits is "
+                              "too long")
+
+    def test_overlong_matrix_header_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "long.matrix"
+        f.write_text(f"matrix: 1 {LONG}\n1 2 3\n")
+        code, out, err = run(capsys, "linear", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: bad header")
+
+    @pytest.mark.parametrize("command, data", [
+        ("dim", b"vars: 2\nx1 + x2\xff\n"),
+        ("member", b"vars: 2\n\xe9x1 + x2\n"),
+        ("linear", b"matrix: 1 3\n1 2 \xff\n"),
+    ], ids=["dim", "member", "linear"])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, command, data):
+        f = tmp_path / "latin1"
+        f.write_bytes(data)
+        weight = ("-w", "0,0") if command == "member" else ()
+        code, out, err = run(capsys, command, str(f), *weight)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
 class TestMember:
     def test_inside(self, capsys, tmp_path):
         f = tmp_path / "lin"
@@ -319,6 +363,13 @@ class TestVerifyCorpus:
         (tmp_path / "manifest.json").write_text('{"ideals": {}}')
         code, _, _ = run(capsys, "verify-corpus", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("data", [b'{"ideals": ', b'{"\xff": {}}'],
+                             ids=["truncated", "latin1"])
+    def test_unreadable_manifest_exit_2(self, capsys, tmp_path, data):
+        (tmp_path / "manifest.json").write_bytes(data)
+        code, out, err = run(capsys, "verify-corpus", str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
     @pytest.mark.parametrize("flag,value", BAD_CAMPAIGN_PARAMETERS)
     def test_bad_campaign_parameter_exit_2(self, capsys, flag, value):

@@ -15,7 +15,6 @@ from tropgen.groebner import (
     minimal_monomial_generators,
     monomial_ideal_dimension,
     normal_form,
-    s_polynomial,
 )
 from tropgen.poly import (
     GRLEX,
@@ -83,8 +82,8 @@ def head_coefficient_normal_form(p, basis, heads, order):
 
 
 def product_s_polynomial(f, g, hf, hg):
-    """Reference: the S-polynomial as a difference of products, each with
-    the monomial multiplier scaled by its head coefficient."""
+    """The S-polynomial as a difference of products, each with the
+    monomial multiplier scaled by its head coefficient."""
     l = monomial_lcm(hf, hg)
     mf = Polynomial(f.n, ((monomial_div(l, hf), ONE / dict(f.terms)[hf]),))
     mg = Polynomial(g.n, ((monomial_div(l, hg), ONE / dict(g.terms)[hg]),))
@@ -118,6 +117,10 @@ def monomial_ideals(draw):
     return n, draw(st.lists(exps, min_size=1, max_size=8))
 
 
+RATIONALS = st.builds(QQ, st.integers(-5, 5), st.integers(1, 4))
+NONZERO_RATIONALS = RATIONALS.filter(bool)
+
+
 def forms(n, d, coefficients):
     """Strategy: the form of degree d in x1..xn whose coefficient on each
     monomial is drawn from the coefficients strategy."""
@@ -128,14 +131,15 @@ def forms(n, d, coefficients):
 
 
 @st.composite
-def homogeneous_ideals(draw):
+def homogeneous_ideals(draw, coefficients=st.integers(-3, 3)):
     """Up to 3 nonzero homogeneous generators in n <= 3 variables, of
-    degree <= 3, with coefficients in [-3, 3]."""
+    degree <= 3, with coefficients drawn from coefficients (by default
+    integers in [-3, 3])."""
     n = draw(st.integers(1, 3))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, 3))
-        gens.append(draw(forms(n, d, st.integers(-3, 3))
+        gens.append(draw(forms(n, d, coefficients)
                          .filter(lambda f: not f.is_zero)))
     return n, gens
 
@@ -178,8 +182,9 @@ class TestNormalForm:
 
 
 class TestMarkedReduction:
-    """normal_form and s_polynomial, which rely on bases monic on their
-    heads, agree with the references that divide by head coefficients."""
+    """The fraction-free normal_form agrees with the reference that
+    divides by head coefficients, on bases whose heads carry p/q,
+    negative and non-unit coefficients."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=homogeneous_ideals(), data=st.data())
@@ -190,18 +195,17 @@ class TestMarkedReduction:
                                                  max_size=2)))
         gb = buchberger(gens, order)
         assert monic_on_heads(gb)
-        els, heads = gb.elements, gb.heads
+        heads = gb.heads
+        scales = data.draw(st.lists(NONZERO_RATIONALS, min_size=len(heads),
+                                    max_size=len(heads)))
+        els = [Polynomial(n, tuple((e, k * c) for e, c in g.terms))
+               for g, k in zip(gb.elements, scales)]
         polys = [data.draw(forms(n, data.draw(st.integers(1, 4)),
-                                 st.integers(-3, 3)))]
-        q = data.draw(forms(n, data.draw(st.integers(0, 2)),
-                            st.integers(-3, 3)))
+                                 RATIONALS))]
+        q = data.draw(forms(n, data.draw(st.integers(0, 2)), RATIONALS))
         polys.append(polys[0] + q * gens[0])
-        for i in range(len(els)):
-            for j in range(i):
-                s = s_polynomial(els[i], els[j], heads[i], heads[j])
-                assert s == product_s_polynomial(els[i], els[j], heads[i],
-                                                 heads[j])
-                polys.append(s)
+        polys.extend(product_s_polynomial(els[i], els[j], heads[i], heads[j])
+                     for i in range(len(els)) for j in range(i))
         for p in polys:
             assert normal_form(p, els, heads, order) == \
                 head_coefficient_normal_form(p, els, heads, order)
@@ -233,6 +237,31 @@ class TestBuchberger:
     def test_monomial_ideal_gb_is_generators(self):
         gb = buchberger(I(3, "x1*x2", "x1*x3", "x2*x3").generators, GRLEX)
         assert sorted(gb.heads) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+
+    def test_integer_input_needs_no_fraction_arithmetic(self, monkeypatch):
+        """On integer coefficients the engine stays in integers: no
+        Fraction +, - or * from the generators to the monic basis."""
+        cases = [I(3, "x1*x3 - x2^2", "x1^2 - x2*x3"),
+                 I(3, "2*x1 - 3*x2 + 5*x3", "6*x1*x2 - 4*x3^2"),
+                 I(4, "-3*x1^2 + 2*x2*x3", "5*x2^2 - 7*x3*x4")]
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__"):
+            def counted(self, other, _op=getattr(QQ, name), _name=name):
+                calls.append(_name)
+                return _op(self, other)
+            monkeypatch.setattr(QQ, name, counted)
+        assert QQ(1, 2) + 1 == QQ(3, 2) and calls == ["__add__"]
+        calls.clear()
+        bases = [buchberger(ideal.generators,
+                            weight_order((1, 2, 0, 3)[:ideal.n]))
+                 for ideal in cases]
+        assert calls == []
+        monkeypatch.undo()
+        # the monic bases do have proper fractions, made at the end
+        assert all(monic_on_heads(gb) for gb in bases)
+        assert any(c.denominator != 1 for gb in bases for g in gb.elements
+                   for _, c in g.terms)
 
     def test_weight_order_marks_minimal_weight_terms(self):
         gb = buchberger(I(2, "x1 + x2").generators, weight_order((0, 1)))
@@ -379,4 +408,16 @@ class TestSympyOracle:
         gb = buchberger(gens, order)
         assert set(gb.elements) == sympy_basis(n, gens, order)
         assert gb.heads == tuple(g.head_monomial(order) for g in gb.elements)
+        assert monic_on_heads(gb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=homogeneous_ideals(NONZERO_RATIONALS), data=st.data())
+    def test_rational_generators_match_sympy(self, sympy_basis, case, data):
+        # generators with p/q coefficients, whose denominators the engine
+        # clears on entry
+        n, gens = case
+        vec = st.tuples(*[st.integers(-3, 3)] * n)
+        order = weight_order(*data.draw(st.lists(vec, max_size=2)))
+        gb = buchberger(gens, order)
+        assert set(gb.elements) == sympy_basis(n, gens, order)
         assert monic_on_heads(gb)
