@@ -164,15 +164,6 @@ def lineality_space(fan: Fan) -> tuple:
     return kernel_basis_primitive(sorted(rows), fan.n)
 
 
-def permute_weight(w, perm):
-    """Apply the coordinate permutation i -> perm[i] to a weight vector:
-    the image has value w[i] at position perm[i]."""
-    out = [None] * len(w)
-    for i, x in enumerate(w):
-        out[perm[i]] = x
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (canonical: sorted keys, cones sorted by content)
 

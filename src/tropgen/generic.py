@@ -19,9 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import product
 
-from .fans import permute_weight, skeleton_membership
+from .fans import skeleton_membership
 from .groebner import buchberger
 from .linalg import QQ, rank
 from .poly import GRLEX, Ideal, Polynomial, TermOrder
@@ -36,17 +36,22 @@ class TransformSearchError(RuntimeError):
     """No sampled transform within the bound has the required property."""
 
 
-def random_transform(n: int, bound: int, seed: int):
-    """Invertible n x n integer matrix with entries in [-bound, bound]."""
+def random_transform(n: int, bound: int, seed: int, accept=None):
+    """Invertible n x n integer matrix with entries in [-bound, bound].
+
+    With `accept`, the first invertible draw of the same stream for which
+    accept(g) holds: the gate a caller's closed form needs.  Raises
+    TransformSearchError after 1000 draws."""
     rng = random.Random(seed)
     for _ in range(1000):
         g = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                   for _ in range(n))
-        if rank(g) == n:
+        if rank(g) == n and (accept is None or accept(g)):
             return g
+    gate = "" if accept is None else " passing the gate"
     raise TransformSearchError(
-        f"no invertible {n} x {n} matrix with entries in [-{bound}, {bound}] "
-        f"in 1000 samples")
+        f"no invertible {n} x {n} matrix with entries in [-{bound}, {bound}]"
+        f"{gate} in 1000 samples")
 
 
 def apply_transform(p: Polynomial, g) -> Polynomial:
@@ -121,14 +126,16 @@ class GenericityReport:
 
 def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                            trials: int = 3, bound: int = 50,
-                           seed: int = 1) -> GenericityReport:
+                           seed: int = 1, accept=None) -> GenericityReport:
     """Membership of the generic tropical variety on the normalized grid.
 
-    Runs `trials` independent random transforms and compares the resulting
-    membership maps; on disagreement doubles the bound and retries, up to
-    three times, then raises DisagreementError.  A negative grid radius
-    or fewer than one trial or a bound below one raises ValueError: an
-    empty grid or no trials would pass every check on nothing.
+    Runs `trials` independent random transforms, each drawn through the
+    gate `accept` if given (see random_transform), and compares the
+    resulting membership maps; on disagreement doubles the bound and
+    retries, up to three times, then raises DisagreementError.  A negative
+    grid radius or fewer than one trial or a bound below one raises
+    ValueError: an empty grid or no trials would pass every check on
+    nothing.
     """
     if grid_radius < 0 or trials < 1 or bound < 1:
         raise ValueError(f"need grid_radius >= 0, trials >= 1 and bound >= 1, "
@@ -142,7 +149,8 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
         maps = []
         transforms = []
         for trial in range(trials):
-            g = random_transform(n, current, trial_seed(seed, trial, escalation))
+            g = random_transform(n, current,
+                                 trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
             mm = MembershipMap(transform_ideal(ideal, g))
             maps.append(tuple(mm.query(w) for w in points))
@@ -168,13 +176,17 @@ def check_skeleton_equality(report: GenericityReport, m: int):
 
 def check_symmetry(report: GenericityReport):
     """The agreed membership map is invariant under all coordinate
-    permutations.  Returns (ok, counterexample)."""
-    n = report.ideal.n
-    for perm in permutations(range(n)):
-        for w, verdict in report.membership.items():
-            pw = normalize_grid_point(permute_weight(w, perm))
-            if report.membership.get(pw, verdict) != verdict:
-                return (False, (w, perm))
+    permutations.  Returns (ok, counterexample).
+
+    Normalizing commutes with permuting coordinates, so the normalized
+    grid is closed under permutations, and the sorted point is in the
+    orbit of every point.  The map is invariant exactly when each point's
+    verdict equals that of its sorted representative; a counterexample is
+    a point and that representative."""
+    for w, verdict in report.membership.items():
+        rep = tuple(sorted(w))
+        if report.membership[rep] != verdict:
+            return (False, (w, rep))
     return (True, None)
 
 

@@ -21,6 +21,11 @@ integer rows at parse time, which changes neither the ideal nor its
 reported RREF.
 
 The generic tropical variety is again a skeleton: W(n)^m with m = n - r.
+
+Each check runs one grid campaign (generic_membership_map) whose
+transforms pass the family's gate: full support of g(f) for a principal
+ideal, nonzero maximal minors of A*g for a linear one.  Its closed-form
+comparisons then run on the campaign's first transform.
 """
 
 from __future__ import annotations
@@ -30,26 +35,18 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
 
-from .fans import (Cone, build_W, make_cone, plateau_cone, same_cone,
-                   skeleton_membership, unit_diff)
+from .fans import Cone, build_W, make_cone, plateau_cone, same_cone, unit_diff
 from .generic import (
-    TransformSearchError,
     apply_transform,
     check_skeleton_equality,
     generic_membership_map,
-    normalized_grid,
-    random_transform,
+    transform_ideal,
     trial_seed,
 )
 from .groebner import krull_dimension
 from .linalg import QQ, mat_mul, primitive, rank
 from .poly import Ideal, ParseError, Polynomial
-from .weights import (
-    MembershipMap,
-    enumerate_groebner_fan,
-    groebner_cone,
-    weight_gb,
-)
+from .weights import enumerate_groebner_fan, groebner_cone, weight_gb
 
 
 class NonGenericMatrixError(ValueError):
@@ -67,25 +64,6 @@ def pure_power_coefficients(f: Polynomial, g) -> tuple:
         raise ValueError("polynomial must be homogeneous")
     return tuple(sum(c * prod(g[i][k] ** nu for i, nu in enumerate(e))
                      for e, c in f.terms) for k in range(f.n))
-
-
-def full_support_transform(f: Polynomial, bound: int, seed: int,
-                           attempts: int = 50):
-    """A random transform g with g(f) supported on all degree-d monomials.
-
-    For deg f >= 1 such transforms form a dense open set, so resampling
-    succeeds quickly unless the bound rules them out (f = x1*x2 with
-    bound 1); returns (g, g_of_f), or raises TransformSearchError."""
-    n, d = f.n, f.homogeneous_degree()
-    full = comb(n + d - 1, d)
-    for attempt in range(attempts):
-        g = random_transform(n, bound, trial_seed(seed, attempt))
-        gf = apply_transform(f, g)
-        if len(gf.terms) == full:
-            return g, gf
-    raise TransformSearchError(
-        f"no transform with entries in [-{bound}, {bound}] gives g(f) all "
-        f"{full} monomials of degree {d} in {attempts} samples")
 
 
 @dataclass
@@ -113,32 +91,35 @@ class PrincipalReport:
 
 def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
                             bound: int = 50, radius: int = 2) -> PrincipalReport:
-    """Per random full-support transform g: all pure-power coefficients of
-    g(f) are nonzero, the grid membership of T(g(f)) equals the
-    (n-1)-skeleton of W(n), and (once, n <= 4) the Groebner fan of g(f) is
-    same_cone-bijective with the maximal cones of W(n)."""
-    n = f.n
+    """One grid campaign on (f) whose transforms g give g(f) all degree-d
+    monomials, a dense open condition for deg f >= 1 that no transform
+    meets when the bound rules it out (f = x1*x2 with bound 1:
+    TransformSearchError).  Checks that every campaign transform has
+    nonzero pure-power coefficients, that the agreed grid membership
+    equals the (n-1)-skeleton of W(n), and (n <= 4, first transform) that
+    the Groebner fan of g(f) is same_cone-bijective with the maximal cones
+    of W(n)."""
+    n, d = f.n, f.homogeneous_degree()
+    full = comb(n + d - 1, d)
+    campaign = generic_membership_map(
+        Ideal.of(n, (f,)), grid_radius=radius, trials=trials, bound=bound,
+        seed=seed, accept=lambda g: len(apply_transform(f, g).terms) == full)
     report = PrincipalReport()
-    points = normalized_grid(n, radius)
-    for trial in range(trials):
-        g, gf = full_support_transform(f, bound, trial_seed(seed, trial) * 7 + 1)
+    for trial, g in enumerate(campaign.transforms):
         if any(p == 0 for p in pure_power_coefficients(f, g)):
             # full support includes the pure powers, so this cannot happen
             report.pure_powers_nonzero = False
             report.mismatches.append(("pure_power_zero", trial))
-            continue
-        mm = MembershipMap(Ideal.of(n, (gf,)))
-        for w in points:
-            got = mm.query(w)
-            want = skeleton_membership(n, n - 1, w)
-            if got != want:
-                report.grid_equal_skeleton = False
-                report.mismatches.append(("grid", trial, w, got, want))
-        if trial == 0 and n <= 4:
-            ok, detail = _fan_equals_W(Ideal.of(n, (gf,)))
-            if not ok:
-                report.fan_equals_W = False
-                report.mismatches.append(("fan", detail))
+    ok, mism = check_skeleton_equality(campaign, n - 1)
+    if not ok:
+        report.grid_equal_skeleton = False
+        report.mismatches.append(("grid", mism[:5]))
+    if n <= 4:
+        ok, detail = _fan_equals_W(
+            transform_ideal(campaign.ideal, campaign.transforms[0]))
+        if not ok:
+            report.fan_equals_W = False
+            report.mismatches.append(("fan", detail))
     return report
 
 
@@ -278,12 +259,14 @@ def linear_fan_census(n: int, r: int) -> dict:
     return census
 
 
+LINEAR_WEIGHTS = 20  # random weights at which closed form and engine meet
+
+
 @dataclass
 class LinearReport:
     """Outcome of the linear-ideal theorem checks."""
 
     rank_matches_dim: bool = True
-    minors_nonzero: bool = True
     cones_agree: bool = True
     grid_equal_skeleton: bool = True
     skeleton_cones_found: bool = True
@@ -291,14 +274,14 @@ class LinearReport:
 
     @property
     def ok(self) -> bool:
-        return (self.rank_matches_dim and self.minors_nonzero
-                and self.cones_agree and self.grid_equal_skeleton
-                and self.skeleton_cones_found)
+        return (self.rank_matches_dim and self.cones_agree
+                and self.grid_equal_skeleton and self.skeleton_cones_found)
 
     def to_jsonable(self) -> dict:
         return {
             "rank_matches_dim": self.rank_matches_dim,
-            "minors_nonzero": self.minors_nonzero,
+            # the campaign's gate: it returns no transform without them
+            "minors_nonzero": True,
             "cones_agree": self.cones_agree,
             "grid_equal_skeleton": self.grid_equal_skeleton,
             "skeleton_cones_found": self.skeleton_cones_found,
@@ -307,17 +290,17 @@ class LinearReport:
 
 
 def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
-                         bound: int = 50, radius: int = 2,
-                         n_weights: int = 20) -> LinearReport:
+                         bound: int = 50, radius: int = 2) -> LinearReport:
     """Run the linear-ideal checks for one coefficient matrix A (its rows).
 
-    (a) n - rank(A) equals the Krull dimension of the ideal; (b) for
-    random transforms g, all maximal minors of A*g are nonzero, so the
-    right-block entries of its reduced form are too (right_block_nonzero);
-    (c) the closed-form cone agrees with the Groebner engine on random
-    weights; (d) grid membership of the generic tropical variety equals
-    the m-skeleton of W(n); (e) every maximal cone of W(n)^m is one of the
-    closed-form plateau cones.
+    (a) n - rank(A) equals the Krull dimension of the ideal; (b) one grid
+    campaign draws each transform g until all maximal minors of A*g are
+    nonzero, so the right-block entries of its reduced form are too
+    (right_block_nonzero), or raises TransformSearchError; (c) the
+    closed-form cone agrees with the Groebner engine at LINEAR_WEIGHTS
+    random weights, on the campaign's first transform; (d) the agreed
+    grid membership equals the m-skeleton of W(n); (e) every maximal cone
+    of W(n)^m is one of the closed-form plateau cones.
     """
     import random as _random
 
@@ -330,36 +313,22 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
         report.rank_matches_dim = False
         report.mismatches.append(("dim", krull_dimension(ideal), m))
 
+    campaign = generic_membership_map(
+        ideal, grid_radius=radius, trials=trials, bound=bound, seed=seed,
+        accept=lambda g: check_minors(mat_mul(rows, g), n))
+
+    # generic: the closed form's precondition holds for this ideal
     rng = _random.Random(trial_seed(seed, 0) * 13 + 5)
-    generic_rows = None
-    for trial in range(trials):
-        for attempt in range(50):
-            g = random_transform(n, bound,
-                                 trial_seed(seed, trial) * 31 + attempt)
-            Ag = mat_mul(rows, g)
-            if check_minors(Ag, n):
-                break
-        else:
-            report.minors_nonzero = False
-            report.mismatches.append(("minors", trial))
-            continue
-        if generic_rows is None:
-            generic_rows = Ag
+    lin_ideal = linear_ideal(mat_mul(rows, campaign.transforms[0]))
+    for _ in range(LINEAR_WEIGHTS):
+        w = tuple(rng.randint(-3, 3) for _ in range(n))
+        closed = linear_groebner_cone(r, n, w)
+        engine = groebner_cone(weight_gb(lin_ideal, w), w)
+        if not same_cone(closed, engine):
+            report.cones_agree = False
+            report.mismatches.append(("cone", w))
 
-    if generic_rows is not None:
-        # generic: the closed form's precondition holds for this ideal
-        lin_ideal = linear_ideal(generic_rows)
-        for _ in range(n_weights):
-            w = tuple(rng.randint(-3, 3) for _ in range(n))
-            closed = linear_groebner_cone(r, n, w)
-            engine = groebner_cone(weight_gb(lin_ideal, w), w)
-            if not same_cone(closed, engine):
-                report.cones_agree = False
-                report.mismatches.append(("cone", w))
-
-    gen_report = generic_membership_map(ideal, grid_radius=radius,
-                                        trials=trials, bound=bound, seed=seed)
-    ok, mism = check_skeleton_equality(gen_report, m)
+    ok, mism = check_skeleton_equality(campaign, m)
     if not ok:
         report.grid_equal_skeleton = False
         report.mismatches.append(("grid", mism[:5]))
@@ -367,11 +336,10 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
     # maximal cones of W(n)^m are the closed-form plateau cones with empty
     # below-block and plateau size r + 1; witness each by the indicator
     # weight vanishing on the plateau
-    if generic_rows is not None:
-        w_cones = {c.label: c for c in build_W(n).cones}
-        for E in combinations(range(n), r + 1):
-            w = tuple(0 if i in E else 1 for i in range(n))
-            if not same_cone(linear_groebner_cone(r, n, w), w_cones[E]):
-                report.skeleton_cones_found = False
-                report.mismatches.append(("skeleton_cone", E))
+    w_cones = {c.label: c for c in build_W(n).cones}
+    for E in combinations(range(n), r + 1):
+        w = tuple(0 if i in E else 1 for i in range(n))
+        if not same_cone(linear_groebner_cone(r, n, w), w_cones[E]):
+            report.skeleton_cones_found = False
+            report.mismatches.append(("skeleton_cone", E))
     return report

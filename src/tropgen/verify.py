@@ -87,8 +87,17 @@ class Corpus:
             self.manifest = json.loads(read_input(manifest_path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad corpus manifest: {exc}", exc.pos) from None
-        if not self.manifest.get("ideals"):
+        ideals = (self.manifest.get("ideals")
+                  if isinstance(self.manifest, dict) else None)
+        if not isinstance(ideals, dict):
+            raise ParseError("corpus manifest must be an object with an "
+                             "'ideals' object", 0)
+        if not ideals:
             raise ParseError("empty corpus manifest", 0)
+        for name, entry in ideals.items():
+            if not isinstance(entry, dict):
+                raise ParseError(f"corpus manifest entry {name!r} is not an "
+                                 f"object", 0)
         self._cache = {}
 
     def names(self, campaign=None):
@@ -215,8 +224,7 @@ class VerifySession:
             rows = _random_full_rank(rng, r, n)
             report = check_linear_theorem(rows, trials=self.trials,
                                           seed=self.seed + idx,
-                                          bound=self.bound, radius=self.grid,
-                                          n_weights=20)
+                                          bound=self.bound, radius=self.grid)
             if not report.ok:
                 return (False, f"A={rows}: {report.to_jsonable()}")
         return (True, "10 random linear ideals, n=4, ranks 1..3")

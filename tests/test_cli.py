@@ -371,6 +371,15 @@ class TestVerifyCorpus:
         code, out, err = run(capsys, "verify-corpus", str(tmp_path))
         assert (code, out) == (2, "") and err.startswith("error: ")
 
+    @pytest.mark.parametrize("text", ['[]', '"x"', '{"ideals": ["point"]}',
+                                      '{"ideals": {"a": 5}}'],
+                             ids=["list", "string", "ideals-list",
+                                  "entry-number"])
+    def test_malformed_manifest_exit_2(self, capsys, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        code, out, err = run(capsys, "verify-corpus", str(tmp_path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
     @pytest.mark.parametrize("flag,value", BAD_CAMPAIGN_PARAMETERS)
     def test_bad_campaign_parameter_exit_2(self, capsys, flag, value):
         code, out, err = run(capsys, "verify-corpus", str(CORPUS), flag, value)
@@ -409,9 +418,10 @@ class TestVerifyCorpus:
 
 
 class TestCanonicalOutputs:
-    """The canonical JSON of the corpus run and of one Groebner fan, pinned
-    by sha256.  A change that alters either on purpose updates the pin and
-    says why."""
+    """The canonical JSON of the corpus run, of one Groebner fan and of one
+    generic campaign, pinned by sha256.  A change that alters any of them
+    on purpose updates the pin and says why.  The campaign's pin guards
+    the default transform draws."""
 
     def test_verify_corpus_json(self, capsys):
         code, out, _ = run(capsys, "verify-corpus", str(CORPUS), "--json")
@@ -425,6 +435,13 @@ class TestCanonicalOutputs:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "62ea23596c8e7c7032b9fb5d04184dc43e375380cbb886866167e7eee6ecc45c")
+
+    def test_generic_campaign_json(self, capsys):
+        code, out, _ = run(capsys, "generic",
+                           str(CORPUS / "coordinate_lines_n3"), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "188a1ca22b0f3bc8b1c76c1a3156c83484d8361c68ad37ecdfb13a02014c40dd")
 
 
 class TestConsoleScript:

@@ -18,7 +18,6 @@ from tropgen.fans import (
     lineality_space,
     make_cone,
     member,
-    permute_weight,
     relative_interior_contains,
     same_cone,
     skeleton_membership,
@@ -239,24 +238,6 @@ class TestLinalg:
             kernel.append(v)
         want = sorted(primitive_signed(r) for r in rref(kernel)[0])
         assert kernel_basis_primitive(rows, n) == tuple(want)
-
-
-class TestPermuteWeight:
-    def test_positions(self):
-        # value at i moves to position perm[i]
-        assert permute_weight((10, 20, 30), (1, 2, 0)) == (30, 10, 20)
-
-    def test_composition(self):
-        w = (1, 2, 3, 4)
-        s = (1, 0, 3, 2)
-        t = (2, 3, 1, 0)
-        composed = tuple(t[s[i]] for i in range(4))
-        assert permute_weight(permute_weight(w, s), t) == permute_weight(w, composed)
-
-    def test_all_permutations_are_bijections(self):
-        w = (0, 1, 2)
-        images = {permute_weight(w, p) for p in permutations(range(3))}
-        assert len(images) == 6
 
 
 class TestJson:

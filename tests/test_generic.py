@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 
 from tropgen import generic
-from tropgen.fans import permute_weight, skeleton_membership
+from tropgen.fans import skeleton_membership
 from tropgen.generic import (
+    GenericityReport,
     TransformSearchError,
     apply_transform,
     check_lineality,
@@ -22,7 +23,7 @@ from tropgen.generic import (
 from tropgen.groebner import buchberger, krull_dimension
 from tropgen.linalg import QQ
 from tropgen.poly import GRLEX, Ideal, parse_polynomial
-from tropgen.weights import MembershipMap, normalize_grid_point
+from tropgen.weights import MembershipMap
 
 from test_fans import leibniz_det
 
@@ -85,6 +86,31 @@ class TestRandomTransform:
         g = random_transform(1, 3, 0)
         assert g[0][0] != 0
 
+    def test_gate_that_rejects_everything_raises(self):
+        with pytest.raises(TransformSearchError, match="passing the gate"):
+            random_transform(3, 50, 1, accept=lambda g: False)
+
+    def test_gate_takes_the_first_accepted_draw_of_the_stream(self):
+        # without a gate the draws are as before; a gate that rejects the
+        # first draw takes a later one, which is still invertible
+        first = random_transform(3, 5, 7)
+        gated = random_transform(3, 5, 7, accept=lambda g: g != first)
+        assert gated != first and leibniz_det(gated) != 0
+        assert random_transform(3, 5, 7, accept=lambda g: True) == first
+
+    def test_campaign_draws_through_the_gate(self):
+        def no_zero_entry(g):
+            return all(x for row in g for x in row)
+
+        report = generic_membership_map(I(3, "x1 + x2 + x3"), grid_radius=1,
+                                        trials=3, bound=1, seed=1,
+                                        accept=no_zero_entry)
+        assert all(no_zero_entry(g) for g in report.transforms)
+        with pytest.raises(TransformSearchError):
+            generic_membership_map(I(3, "x1 + x2 + x3"), grid_radius=1,
+                                   trials=2, bound=10, seed=1,
+                                   accept=lambda g: False)
+
 
 class TestApplyTransform:
     def test_identity(self):
@@ -132,9 +158,12 @@ class TestPermuteColumns:
         for sigma in permutations(range(3)):
             sg = permute_columns(g, sigma)
             direct = transform_ideal(ideal, sg)
+            inv = perm_inverse(sigma)
             renamed_gens = []
             for p in transform_ideal(ideal, g).generators:
-                moved = {tuple(permute_weight(e, sigma)): c for e, c in p.terms}
+                # the exponent at i moves to position sigma[i]
+                moved = {tuple(e[inv[j]] for j in range(3)): c
+                         for e, c in p.terms}
                 renamed_gens.append(
                     parse_polynomial("0", 3).from_dict(3, moved))
             renamed = Ideal.of(3, tuple(renamed_gens))
@@ -181,13 +210,17 @@ class TestCampaigns:
 
     def test_asymmetric_non_generic_snapshot(self):
         # untransformed T((x2+x3)) = {w2 = w3} is not permutation closed
-        mm = MembershipMap(I(3, "x2 + x3"))
-        mapping = {w: mm.query(w) for w in normalized_grid(3, 2)}
-        swapped = {}
-        for w, v in mapping.items():
-            pw = normalize_grid_point(permute_weight(w, (1, 0, 2)))
-            swapped[pw] = v
-        assert any(mapping[w] != swapped.get(w, mapping[w]) for w in mapping)
+        ideal = I(3, "x2 + x3")
+        mm = MembershipMap(ideal)
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        report = GenericityReport(
+            ideal, seed=1, trials=1, bound=1, grid_radius=2,
+            transforms=(identity,), escalations=[1],
+            membership={w: mm.query(w) for w in normalized_grid(3, 2)})
+        ok, (w, rep) = check_symmetry(report)
+        assert ok is False
+        assert rep == tuple(sorted(w))
+        assert report.membership[w] != report.membership[rep]
 
     @pytest.mark.parametrize("kwargs", [dict(grid_radius=-1),
                                         dict(trials=0), dict(bound=0)])
@@ -200,11 +233,11 @@ class TestCampaigns:
         # = {w2 = w3}, which no generic trial agrees with: one retry
         real = generic.random_transform
 
-        def first_is_identity(n, bound, seed):
+        def first_is_identity(n, bound, seed, accept=None):
             if seed == trial_seed(1, 0):
                 return tuple(tuple(int(i == j) for j in range(n))
                              for i in range(n))
-            return real(n, bound, seed)
+            return real(n, bound, seed, accept)
 
         monkeypatch.setattr(generic, "random_transform", first_is_identity)
         report = generic_membership_map(I(3, "x2 + x3"), grid_radius=2,

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from tropgen import special
 from tropgen.fans import same_cone
-from tropgen.generic import random_transform
+from tropgen.generic import apply_transform, random_transform, trial_seed
 from tropgen.linalg import QQ, mat_mul, rank, rref
 from tropgen.poly import ParseError, parse_polynomial
 from tropgen.special import (
     check_linear_theorem,
     check_minors,
     check_principal_theorem,
-    full_support_transform,
     linear_fan_census,
     linear_groebner_cone,
     linear_ideal,
@@ -52,8 +51,6 @@ class TestPurePowers:
             pure_power_coefficients(P("x1 + x1^2", 2), ((1, 0), (0, 1)))
 
     def test_matches_full_expansion(self):
-        from tropgen.generic import apply_transform
-
         f = P("x1^2*x2 + x2^2*x3", 3)
         g = random_transform(3, 5, 77)
         gf = apply_transform(f, g)
@@ -65,10 +62,6 @@ class TestPurePowers:
 
 
 class TestPrincipal:
-    def test_full_support_transform(self):
-        g, gf = full_support_transform(P("x1*x2", 2), bound=10, seed=1)
-        assert len(gf.terms) == 3  # x1^2, x1x2, x2^2
-
     def test_monomial_needs_transform(self):
         # untransformed (x1x2) has empty variety; the theorem applies to
         # the generic transform, whose variety is the diagonal
@@ -85,6 +78,57 @@ class TestPrincipal:
         report = check_principal_theorem(P("x1 + x2 + x3", 3), trials=2,
                                          seed=1, bound=10, radius=2)
         assert report.ok
+
+
+class TestOneCampaign:
+    """Each closed-form check runs one grid campaign, and every transform
+    of that campaign passes the family's gate.  The bounds are small
+    enough that plain draws at these seeds fail the gate."""
+
+    @pytest.fixture
+    def campaigns(self, monkeypatch):
+        reports = []
+        real = special.generic_membership_map
+
+        def recording(*args, **kwargs):
+            reports.append(real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(special, "generic_membership_map", recording)
+        return reports
+
+    @staticmethod
+    def plain_draws(n, bound, seed):
+        return [random_transform(n, bound, trial_seed(seed, t))
+                for t in range(3)]
+
+    def test_principal_full_support(self, campaigns):
+        f = P("x1*x2", 2)
+
+        def full_support(g):  # x1^2, x1*x2, x2^2
+            return len(apply_transform(f, g).terms) == 3
+
+        assert not any(map(full_support, self.plain_draws(2, 2, 1)))
+        report = check_principal_theorem(f, trials=3, seed=1, bound=2,
+                                         radius=2)
+        assert report.ok, report.mismatches
+        [campaign] = campaigns
+        assert len(campaign.transforms) == 3
+        assert all(map(full_support, campaign.transforms))
+
+    def test_linear_minors(self, campaigns):
+        rows = ((1, 2, -1, 0), (0, 1, 1, 1))
+
+        def minors(g):
+            return check_minors(mat_mul(rows, g), 4)
+
+        assert not all(map(minors, self.plain_draws(4, 2, 3)))
+        report = check_linear_theorem(rows, trials=3, seed=3, bound=2,
+                                      radius=1)
+        assert report.ok, report.mismatches
+        [campaign] = campaigns
+        assert len(campaign.transforms) == 3
+        assert all(map(minors, campaign.transforms))
 
 
 class TestGaussReduce:
@@ -253,12 +297,12 @@ class TestCensus:
 class TestLinearTheorem:
     def test_r2_n3(self):
         report = check_linear_theorem(((1, -1, 0), (1, 0, -1)), trials=2,
-                                      seed=1, bound=10, radius=2, n_weights=8)
+                                      seed=1, bound=10, radius=2)
         assert report.ok, report.mismatches
 
     def test_r1_n4(self):
         report = check_linear_theorem(((1, 1, 1, 1),), trials=2, seed=1,
-                                      bound=10, radius=1, n_weights=6)
+                                      bound=10, radius=1)
         assert report.ok, report.mismatches
 
     def test_genericity_checked_once_per_transform(self, monkeypatch):
