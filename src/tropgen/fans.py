@@ -67,8 +67,15 @@ def member(cone: Cone, w) -> bool:
 
 
 def relative_interior_contains(cone: Cone, w) -> bool:
-    return (all(vec_dot(e, w) == 0 for e in cone.equalities)
-            and all(vec_dot(q, w) < 0 for q in cone.inequalities))
+    """w satisfies every equality and every inequality strictly; the
+    loops stop at the first row that fails."""
+    for e in cone.equalities:
+        if vec_dot(e, w):
+            return False
+    for q in cone.inequalities:
+        if vec_dot(q, w) >= 0:
+            return False
+    return True
 
 
 def cone_dim(cone: Cone) -> int:

@@ -27,6 +27,7 @@ section 7), with Fraction coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .linalg import QQ, ONE
@@ -150,14 +151,22 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
     heads = [g.head_monomial(order) for g in generators]
     basis = _elements(generators, heads)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        # normal strategy: smallest lcm degree first, then oldest pair
-        i, j = min(pairs, key=lambda p: (
-            monomial_degree(monomial_lcm(heads[p[0]], heads[p[1]])), p))
+    # normal strategy: smallest lcm degree first, then oldest pair; each
+    # pending pair (i, j), i > j, waits in the heap as (degree, i, j, lcm)
+    pairs, queue = set(), []
+
+    def add_pairs(i):
+        for j in range(i):
+            l = monomial_lcm(heads[i], heads[j])
+            pairs.add((i, j))
+            heappush(queue, (monomial_degree(l), i, j, l))
+
+    for i in range(len(basis)):
+        add_pairs(i)
+    while queue:
+        _, i, j, l = heappop(queue)
         pairs.remove((i, j))
         hi, hj = heads[i], heads[j]
-        l = monomial_lcm(hi, hj)
         # product criterion
         if l == monomial_mul(hi, hj):
             continue
@@ -179,8 +188,7 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
             h = max(r, key=order.key)
             basis.append(_primitive(r, h))
             heads.append(h)
-            new = len(basis) - 1
-            pairs.update((new, k) for k in range(new))
+            add_pairs(len(basis) - 1)
 
     return _interreduce(n, basis, heads, order)
 

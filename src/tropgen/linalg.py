@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction as QQ
 from math import gcd, lcm
+from operator import mul
 
 ZERO = QQ(0)
 ONE = QQ(1)
 
 
 def vec_dot(a, b):
-    """Dot product; integer vectors give an int, rational ones a rational."""
-    return sum(x * y for x, y in zip(a, b))
+    """Dot product; integer vectors give an int, rational ones a rational
+    (exact either way: sum adds the products in order, as a loop would)."""
+    return sum(map(mul, a, b))
 
 
 def mat_mul(a, b):

@@ -75,6 +75,17 @@ class CriterionResult:
         }
 
 
+# the fields of every manifest entry: (name, check, what the check wants)
+ENTRY_FIELDS = (
+    ("n", lambda x: type(x) is int, "an integer"),
+    ("dim", lambda x: type(x) is int, "an integer"),
+    ("family", lambda x: isinstance(x, str), "a string"),
+    ("campaigns", lambda x: (isinstance(x, list)
+                             and all(isinstance(c, str) for c in x)),
+     "a list of strings"),
+)
+
+
 class Corpus:
     """Corpus directory with its manifest of expected invariants."""
 
@@ -98,13 +109,17 @@ class Corpus:
             if not isinstance(entry, dict):
                 raise ParseError(f"corpus manifest entry {name!r} is not an "
                                  f"object", 0)
+            for field, ok, what in ENTRY_FIELDS:
+                if field not in entry or not ok(entry[field]):
+                    raise ParseError(f"corpus manifest entry {name!r} needs "
+                                     f"{field!r}: {what}", 0)
         self._cache = {}
 
     def names(self, campaign=None):
         items = self.manifest["ideals"].items()
         if campaign is None:
             return [k for k, _ in items]
-        return [k for k, v in items if campaign in v.get("campaigns", ())]
+        return [k for k, v in items if campaign in v["campaigns"]]
 
     def entry(self, name) -> dict:
         return self.manifest["ideals"][name]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 from math import gcd
+from operator import sub
 
 from .fans import Cone, Fan, make_cone, member, relative_interior_contains
 from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
@@ -75,28 +76,45 @@ def in_tropical_variety(ideal: Ideal, w) -> bool:
     return not contains_monomial(initial_ideal_generators(ideal, w), ideal.n)
 
 
+def head_rows(gb: MarkedGB) -> tuple:
+    """(h - e, h > e) for each element's head exponent h and each other
+    exponent e of its terms: the cone's rows, with whether h is the
+    lex-larger of the two."""
+    return tuple((tuple(map(sub, h, e)), h > e)
+                 for g, h in zip(gb.elements, gb.heads)
+                 for e, _ in g.terms if e != h)
+
+
 def groebner_cone(gb: MarkedGB, *weights) -> Cone:
     """Closure of the set of weights with the marked basis gb, which is
     the refined basis weight_gb(ideal, *weights).
 
     Rows are head_exponent - other_exponent per Groebner basis element and
-    term: nonpositive on the cone (heads have minimal weight).  Rows tied
-    under every weight are equalities of the cone.  Every other row is
-    strictly negative at w1 + eps*w2 + ... for small eps > 0, which
+    term (head_rows): nonpositive on the cone (heads have minimal weight).
+    Rows tied under every weight are equalities of the cone.  Every other
+    row is strictly negative at w1 + eps*w2 + ... for small eps > 0, which
     witnesses that all of them can be strict at once, so the
     representation needs no further tightness analysis.
     """
     eqs, ineqs = set(), set()
-    for g, h in zip(gb.elements, gb.heads):
-        for e, _ in g.terms:
-            if e == h:
-                continue
-            row = tuple(hi - ei for hi, ei in zip(h, e))
-            if not any(vec_dot(w, row) for w in weights):
-                eqs.add(row)
-            else:
-                ineqs.add(row)
+    for row, _ in head_rows(gb):
+        if any(vec_dot(w, row) for w in weights):
+            ineqs.add(row)
+        else:
+            eqs.add(row)
     return make_cone(gb.n, sorted(eqs), sorted(ineqs))
+
+
+def marks_heads(rows, w) -> bool:
+    """Whether weight_order(w) marks the heads whose head_rows these are,
+    on a homogeneous basis: total degree ties, so h beats e iff
+    d = (h - e).w < 0, or d == 0 and h > e.  Stops at the first row that
+    fails."""
+    for row, lex in rows:
+        d = vec_dot(row, w)
+        if d > 0 or (d == 0 and not lex):
+            return False
+    return True
 
 
 class IncompleteFanError(RuntimeError):
@@ -230,12 +248,21 @@ class MembershipMap:
     the verdict nor the cone reads.  Cones and bases are scanned most
     recently used first; relatively open cones are disjoint and the
     reduced basis is unique, so the order of the scan changes no answer.
+
+    The test reads only G's rows (h - e, h > e), built once per basis by
+    head_rows, and evaluates no TermOrder.key.  weight_order(key) prefers
+    the larger total degree, then the smaller key-weight, then the
+    lex-larger exponent.  Ideal accepts homogeneous generators only, and
+    Buchberger's S-pairs and reductions keep homogeneity, so every
+    element's terms share one degree, and < marks h on g iff every other
+    term e of g loses to h: d = (h - e).key < 0, or d == 0 and h > e
+    (marks_heads), which is g.head_monomial(weight_order(key)) == h.
     """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self._cones: list = []  # (cone, verdict), most recently used first
-        self._bases: list = []  # MarkedGB, most recently used first
+        self._bases: list = []  # (MarkedGB, its head_rows), most recent first
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
@@ -243,15 +270,13 @@ class MembershipMap:
             if relative_interior_contains(cone, key):
                 self._cones.insert(0, self._cones.pop(i))
                 return verdict
-        order = weight_order(key)
-        for i, gb in enumerate(self._bases):
-            if all(g.head_monomial(order) == h
-                   for g, h in zip(gb.elements, gb.heads)):
+        for i, (gb, rows) in enumerate(self._bases):
+            if marks_heads(rows, key):
                 self._bases.insert(0, self._bases.pop(i))
                 break
         else:
             gb = weight_gb(self.ideal, key)
-            self._bases.insert(0, gb)
+            self._bases.insert(0, (gb, head_rows(gb)))
         verdict = not contains_monomial(
             [initial_form(g, key) for g in gb.elements], gb.n)
         cone = groebner_cone(gb, key)

@@ -371,10 +371,22 @@ class TestVerifyCorpus:
         code, out, err = run(capsys, "verify-corpus", str(tmp_path))
         assert (code, out) == (2, "") and err.startswith("error: ")
 
-    @pytest.mark.parametrize("text", ['[]', '"x"', '{"ideals": ["point"]}',
-                                      '{"ideals": {"a": 5}}'],
-                             ids=["list", "string", "ideals-list",
-                                  "entry-number"])
+    @pytest.mark.parametrize("text", [
+        '[]', '"x"', '{"ideals": ["point"]}', '{"ideals": {"a": 5}}',
+        '{"ideals": {"a": {"campaigns": 5}}}',
+        '{"ideals": {"a": {"n": 2, "family": "zero-dim", '
+        '"campaigns": ["skeleton"]}}}',
+        '{"ideals": {"a": {"n": 2, "dim": true, "family": "zero-dim", '
+        '"campaigns": ["skeleton"]}}}',
+        '{"ideals": {"a": {"n": "2", "dim": 0, "family": "zero-dim", '
+        '"campaigns": ["skeleton"]}}}',
+        '{"ideals": {"a": {"n": 2, "dim": 0, "family": null, '
+        '"campaigns": ["skeleton"]}}}',
+        '{"ideals": {"a": {"n": 2, "dim": 0, "family": "zero-dim", '
+        '"campaigns": ["skeleton", 1]}}}'],
+        ids=["list", "string", "ideals-list", "entry-number",
+             "campaigns-number", "no-dim", "dim-bool", "n-string",
+             "family-null", "campaign-number"])
     def test_malformed_manifest_exit_2(self, capsys, tmp_path, text):
         (tmp_path / "manifest.json").write_text(text)
         code, out, err = run(capsys, "verify-corpus", str(tmp_path))

@@ -24,7 +24,8 @@ from tropgen.fans import (
     w_skeleton,
 )
 from tropgen.halfspaces import find_point
-from tropgen.linalg import QQ, kernel_basis_primitive, primitive, rank
+from tropgen.linalg import (QQ, kernel_basis_primitive, primitive, rank,
+                            vec_dot)
 from tropgen.linalg import rref as echelon_rref
 
 
@@ -238,6 +239,50 @@ class TestLinalg:
             kernel.append(v)
         want = sorted(primitive_signed(r) for r in rref(kernel)[0])
         assert kernel_basis_primitive(rows, n) == tuple(want)
+
+
+def generator_dot(a, b):
+    """vec_dot's former definition."""
+    return sum(x * y for x, y in zip(a, b))
+
+
+def generator_relative_interior_contains(cone, w):
+    """relative_interior_contains's former definition."""
+    return (all(generator_dot(e, w) == 0 for e in cone.equalities)
+            and all(generator_dot(q, w) < 0 for q in cone.inequalities))
+
+
+@st.composite
+def int_or_fraction_cones(draw):
+    """A cone of int or Fraction rows (built directly, not canonicalized),
+    with a point of ints or Fractions; small entries, so that rows tie."""
+    n = draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([
+        st.integers(-2, 2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3)]))
+    row = st.tuples(*[entry] * n)
+    return (Cone(n, tuple(draw(st.lists(row, max_size=3))),
+                 tuple(draw(st.lists(row, max_size=5)))), draw(row))
+
+
+class TestDotKernel:
+    """vec_dot and relative_interior_contains agree with their former
+    generator definitions, value and type, on int and Fraction rows."""
+
+    @given(int_or_fraction_cones())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_generator_definitions(self, case):
+        cone, w = case
+        for row in cone.equalities + cone.inequalities:
+            got, want = vec_dot(row, w), generator_dot(row, w)
+            assert (got, type(got)) == (want, type(want))
+        assert relative_interior_contains(cone, w) == \
+            generator_relative_interior_contains(cone, w)
+
+    def test_exact_on_fractions_and_big_integers(self):
+        a = (QQ(1, 3), QQ(1, 3), QQ(1, 3))
+        assert vec_dot(a, (1, 1, 1)) == 1
+        assert vec_dot((10 ** 30, 1), (10 ** 30, -1)) == 10 ** 60 - 1
 
 
 class TestJson:

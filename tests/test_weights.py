@@ -1,9 +1,12 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgen import groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
@@ -15,7 +18,8 @@ from tropgen.generic import (
 )
 from tropgen.groebner import buchberger
 from tropgen.halfspaces import find_point
-from tropgen.poly import Ideal, parse_ideal_file, parse_polynomial
+from tropgen.poly import (Ideal, TermOrder, parse_ideal_file,
+                          parse_polynomial, weight_order)
 from tropgen.weights import (
     BudgetExceededError,
     IncompleteFanError,
@@ -24,9 +28,11 @@ from tropgen.weights import (
     _generic_start,
     enumerate_groebner_fan,
     groebner_cone,
+    head_rows,
     in_tropical_variety,
     initial_form,
     initial_ideal_generators,
+    marks_heads,
     normalize_grid_point,
     weight_gb,
 )
@@ -320,6 +326,88 @@ class TestBasisReuse:
         assert not mm.query((0, 1))
         assert not mm.query((1, 0))
         assert calls == [((0, 1),), ((1, 0),)]
+
+
+@cache
+def reuse_cases():
+    """(weight, basis) for every transformed corpus ideal at every point of
+    its radius-1 normalized grid."""
+    cases = []
+    for name in CORPUS_IDEALS:
+        J = transformed_corpus_ideal(name)
+        cases += [(w, weight_gb(J, w)) for w in normalized_grid(J.n, 1)]
+    return cases
+
+
+def marks_heads_by_key(gb, key):
+    """The reuse test as TermOrder.key decides it."""
+    order = weight_order(key)
+    return all(g.head_monomial(order) == h
+               for g, h in zip(gb.elements, gb.heads))
+
+
+class TestReuseRows:
+    """The row test marks_heads(head_rows(gb), key) is the head test."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_decide_as_the_term_order(self, data):
+        # keys near a multiple of a basis's own weight tie many rows; the
+        # scale and noise may both be zero
+        w, gb = data.draw(st.sampled_from(reuse_cases()))
+        scale = data.draw(st.integers(0, 3))
+        noise = data.draw(st.lists(st.integers(-2, 2), min_size=gb.n,
+                                   max_size=gb.n))
+        key = tuple(scale * x + y for x, y in zip(w, noise))
+        assert marks_heads(head_rows(gb), key) == marks_heads_by_key(gb, key)
+
+    def test_zero_and_own_keys(self):
+        # at the zero key every row ties and lex decides; at its own weight
+        # a basis is always reused
+        for w, gb in reuse_cases():
+            rows = head_rows(gb)
+            zero = (0,) * gb.n
+            assert marks_heads(rows, zero) == marks_heads_by_key(gb, zero)
+            assert marks_heads(rows, w) and marks_heads_by_key(gb, w)
+
+    def test_reuse_evaluates_no_term_order_key(self, monkeypatch):
+        # a reused basis costs no TermOrder.key; the saturation test, which
+        # runs Buchberger, is not counted
+        key_calls, counting = [], [True]
+        original_key = TermOrder.key
+        saturation = weights.contains_monomial
+
+        def key(self, exp):
+            if counting[0]:
+                key_calls.append(exp)
+            return original_key(self, exp)
+
+        def uncounted(generators, n):
+            counting[0] = False
+            try:
+                return saturation(generators, n)
+            finally:
+                counting[0] = True
+
+        gb_calls = []
+
+        def recording_gb(ideal, *ws):
+            gb_calls.append(ws)
+            return weight_gb(ideal, *ws)
+
+        monkeypatch.setattr(TermOrder, "key", key)
+        monkeypatch.setattr(weights, "contains_monomial", uncounted)
+        monkeypatch.setattr(weights, "weight_gb", recording_gb)
+        mm = MembershipMap(I(3, *TestWorkCounts.TWISTED_CUBIC))
+        reuses = 0
+        for w in normalized_grid(3, 2):
+            before = len(key_calls), len(gb_calls), len(mm._cones)
+            mm.query(w)
+            after = len(key_calls), len(gb_calls), len(mm._cones)
+            if after[1:] == (before[1], before[2] + 1):  # a basis reused
+                reuses += 1
+                assert after[0] == before[0], w
+        assert reuses == 10  # 19 misses, 9 bases
 
 
 class TestWorkCounts:
