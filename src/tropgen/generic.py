@@ -17,6 +17,7 @@ representative.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -95,6 +96,32 @@ def normalized_grid(n: int, radius: int) -> tuple:
                                           repeat=n)}))
 
 
+@cache
+def _grid_index(n: int, radius: int) -> dict:
+    return {w: i for i, w in enumerate(normalized_grid(n, radius))}
+
+
+class GridMembership(Mapping):
+    """Verdicts on normalized_grid(n, radius), keyed by point in grid
+    order.  A map holds one bool per point; the points and their index
+    are shared by every map over the grid, so a report costs a tuple, not
+    a dict, of the grid's size."""
+
+    def __init__(self, n: int, radius: int, verdicts: tuple):
+        self._points = normalized_grid(n, radius)
+        self._index = _grid_index(n, radius)
+        self._verdicts = verdicts
+
+    def __getitem__(self, w):
+        return self._verdicts[self._index[w]]
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self):
+        return len(self._points)
+
+
 @dataclass
 class GenericityReport:
     """Result of a multi-trial generic membership computation that reached
@@ -106,7 +133,7 @@ class GenericityReport:
     bound: int
     grid_radius: int
     transforms: tuple  # transforms of the agreeing round
-    membership: dict
+    membership: Mapping  # normalized grid point -> verdict
     escalations: list  # bounds actually used
 
     def to_jsonable(self) -> dict:
@@ -157,7 +184,8 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, trials, bound, grid_radius,
                                     tuple(transforms),
-                                    dict(zip(points, maps[0])), escalations)
+                                    GridMembership(n, grid_radius, maps[0]),
+                                    escalations)
         current *= 2
     raise DisagreementError(
         f"{trials} trials disagreed at bounds {escalations}")

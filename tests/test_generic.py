@@ -250,6 +250,21 @@ class TestCampaigns:
     def test_grid_is_shared(self):
         assert normalized_grid(4, 3) is normalized_grid(4, 3)
 
+    def test_membership_is_the_dict_of_its_queries(self):
+        # the report's map holds one verdict per grid point, in grid order,
+        # and reads like the dict of the trial's queries
+        ideal = I(3, "x1^2 + x2*x3")
+        report = generic_membership_map(ideal, grid_radius=2, trials=1,
+                                        bound=10, seed=1)
+        mm = MembershipMap(transform_ideal(ideal, report.transforms[0]))
+        points = normalized_grid(3, 2)
+        want = {w: mm.query(w) for w in points}
+        assert list(report.membership) == list(points)
+        assert report.membership == want and len(report.membership) == len(want)
+        assert (9, 9, 9) not in report.membership
+        with pytest.raises(KeyError):
+            report.membership[(9, 9, 9)]
+
     def test_report_json_is_stable(self):
         a = generic_membership_map(I(2, "x1*x2"), grid_radius=2, trials=2,
                                    bound=10, seed=3).to_jsonable()
