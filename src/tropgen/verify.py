@@ -19,6 +19,7 @@ from .fans import (
     cone_dim,
     dumps_canonical,
     lineality_space,
+    relative_interior_contains,
 )
 from .generic import (
     check_lineality,
@@ -26,6 +27,7 @@ from .generic import (
     check_symmetry,
     gb_support_stability,
     generic_membership_map,
+    normalized_grid,
 )
 from .groebner import buchberger, contains_monomial, normal_form
 from .linalg import QQ
@@ -170,6 +172,14 @@ class VerifySession:
                 for c in fan.cones:
                     if cone_dim(c) != n - len(c.label) + 1:
                         return (False, f"n={n}: dim mismatch for {c.label}")
+                # relative interiors partition R^n: each normalized grid
+                # point lies in that of the cone labelled by its zero set
+                for w in normalized_grid(n, 1):
+                    labels = [c.label for c in fan.cones
+                              if relative_interior_contains(c, w)]
+                    if labels != [tuple(i for i, x in enumerate(w) if not x)]:
+                        return (False, f"n={n}: {w} in the relative "
+                                       f"interiors of {labels}")
             if lineality_space(fan) != (tuple([1] * n),):
                 return (False, f"n={n}: lineality {lineality_space(fan)}")
         return (True, "n=2..8 cone counts and lineality")

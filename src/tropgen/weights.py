@@ -18,7 +18,7 @@ from dataclasses import replace
 from math import gcd
 from operator import sub
 
-from .fans import Cone, Fan, make_cone, member, relative_interior_contains
+from .fans import Cone, Fan, make_cone, member
 from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
                        normal_form)
 from .halfspaces import facets
@@ -77,12 +77,11 @@ def in_tropical_variety(ideal: Ideal, w) -> bool:
 
 
 def head_rows(gb: MarkedGB) -> tuple:
-    """(h - e, h > e) for each element's head exponent h and each other
-    exponent e of its terms: the cone's rows, with whether h is the
-    lex-larger of the two."""
-    return tuple((tuple(map(sub, h, e)), h > e)
-                 for g, h in zip(gb.elements, gb.heads)
-                 for e, _ in g.terms if e != h)
+    """The distinct rows h - e for each element's head exponent h and each
+    other exponent e of its terms: the rows of the closed Groebner cone."""
+    return tuple(dict.fromkeys(tuple(map(sub, h, e))
+                               for g, h in zip(gb.elements, gb.heads)
+                               for e, _ in g.terms if e != h))
 
 
 def groebner_cone(gb: MarkedGB, *weights) -> Cone:
@@ -97,24 +96,12 @@ def groebner_cone(gb: MarkedGB, *weights) -> Cone:
     representation needs no further tightness analysis.
     """
     eqs, ineqs = set(), set()
-    for row, _ in head_rows(gb):
+    for row in head_rows(gb):
         if any(vec_dot(w, row) for w in weights):
             ineqs.add(row)
         else:
             eqs.add(row)
     return make_cone(gb.n, sorted(eqs), sorted(ineqs))
-
-
-def marks_heads(rows, w) -> bool:
-    """Whether weight_order(w) marks the heads whose head_rows these are,
-    on a homogeneous basis: total degree ties, so h beats e iff
-    d = (h - e).w < 0, or d == 0 and h > e.  Stops at the first row that
-    fails."""
-    for row, lex in rows:
-        d = vec_dot(row, w)
-        if d > 0 or (d == 0 and not lex):
-            return False
-    return True
 
 
 class IncompleteFanError(RuntimeError):
@@ -231,54 +218,56 @@ def normalize_grid_point(w):
 
 
 class MembershipMap:
-    """Lazy tropical membership over integer weights, cached per relatively
-    open Groebner cone (membership is constant there, and the cone found for
-    a normalized weight holds it in its relative interior) and per marked
-    reduced basis, so at most one Buchberger run per maximal Groebner cone.
-    Rational weights raise TypeError (see normalize_grid_point); use
-    in_tropical_variety for them.
+    """Lazy tropical membership over integer weights, kept per stored
+    reduced basis and per face of its closed Groebner cone, so weight_gb
+    runs at most once per maximal Groebner cone.  Rational weights raise
+    TypeError (see normalize_grid_point); use in_tropical_variety for them.
 
-    A stored basis G, reduced for an order <', is reused at a weight whose
-    refined order < marks the same head on every element: the heads then
-    generate in_<'(I), which lies in in_<(I), and two initial ideals of I
-    with one inside the other are equal (their standard monomials are both
-    bases of R/I), so G is the reduced basis for < (Mora and Robbiano,
-    1988; Sturmfels, Groebner Bases and Convex Polytopes, ch. 1).  Its
-    elements may sit in another order and gb.order is <', which neither
-    the verdict nor the cone reads.  Cones and bases are scanned most
-    recently used first; relatively open cones are disjoint and the
-    reduced basis is unique, so the order of the scan changes no answer.
-
-    The test reads only G's rows (h - e, h > e), built once per basis by
-    head_rows, and evaluates no TermOrder.key.  weight_order(key) prefers
-    the larger total degree, then the smaller key-weight, then the
-    lex-larger exponent.  Ideal accepts homogeneous generators only, and
-    Buchberger's S-pairs and reductions keep homogeneity, so every
-    element's terms share one degree, and < marks h on g iff every other
-    term e of g loses to h: d = (h - e).key < 0, or d == 0 and h > e
-    (marks_heads), which is g.head_monomial(weight_order(key)) == h.
+    A stored basis G, reduced for an order <, answers every normalized key
+    in its closed cone, where each row of G has (h - e).key <= 0
+    (head_rows).  There each head h is the <-head of in_key(g), so the
+    heads, which generate in_<(I), lie in in_<(in_key(I)).  Both ideals
+    have the Hilbert function of the graded ideal I, so they are equal and
+    in_key(G) is a Groebner basis of in_key(I) (Mora and Robbiano, 1988;
+    Sturmfels, Groebner Bases and Convex Polytopes, ch. 1-2): the key lies
+    in T(I) iff it contains no monomial.  in_key(g) is h plus the terms
+    whose row is tight, (h - e).key = 0, so G keeps one verdict per set of
+    tight rows.  Bases are scanned most recently used first; any that
+    holds the key gives the exact verdict.  A key in no stored closed cone
+    runs weight_gb, whose basis is new and holds the key.
     """
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
-        self._cones: list = []  # (cone, verdict), most recently used first
-        self._bases: list = []  # (MarkedGB, its head_rows), most recent first
+        self._bases: list = []  # (MarkedGB, rows, {tight set: verdict})
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
-        for i, (cone, verdict) in enumerate(self._cones):
-            if relative_interior_contains(cone, key):
-                self._cones.insert(0, self._cones.pop(i))
-                return verdict
-        for i, (gb, rows) in enumerate(self._bases):
-            if marks_heads(rows, key):
+        for i, entry in enumerate(self._bases):
+            tight = _tight_rows(entry[1], key)
+            if tight is not None:
                 self._bases.insert(0, self._bases.pop(i))
                 break
         else:
             gb = weight_gb(self.ideal, key)
-            self._bases.insert(0, (gb, head_rows(gb)))
-        verdict = not contains_monomial(
-            [initial_form(g, key) for g in gb.elements], gb.n)
-        cone = groebner_cone(gb, key)
-        self._cones.insert(0, (cone, verdict))
+            entry = (gb, head_rows(gb), {})
+            self._bases.insert(0, entry)
+            tight = _tight_rows(entry[1], key)
+        gb, _, faces = entry
+        verdict = faces.get(tight)
+        if verdict is None:
+            verdict = faces[tight] = not contains_monomial(
+                [initial_form(g, key) for g in gb.elements], gb.n)
         return verdict
+
+
+def _tight_rows(rows, key):
+    """Indices of the rows tight at key, or None at a row with row.key > 0."""
+    tight = []
+    for i, row in enumerate(rows):
+        d = vec_dot(row, key)
+        if d > 0:
+            return None
+        if not d:
+            tight.append(i)
+    return tuple(tight)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from tropgen import verify
+from tropgen.fans import member
 from tropgen.verify import CRITERION_NAMES, Corpus, VerifySession
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -37,6 +39,15 @@ def _run(session, number):
 
 def test_criterion_01_reference_fan_structure(session):
     _run(session, 1)
+
+
+def test_criterion_01_needs_disjoint_relative_interiors(monkeypatch):
+    # closed cones overlap on their faces, so membership in the closure
+    # fails the partition check
+    monkeypatch.setattr(verify, "relative_interior_contains", member)
+    passed, detail = VerifySession(Corpus(CORPUS))._criterion_1()
+    assert not passed
+    assert detail.startswith("n=2: (0, 0) in the relative interiors of")
 
 
 def test_criterion_02_skeleton_equality_campaign(session):

@@ -1,12 +1,9 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tropgen import groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
@@ -18,8 +15,9 @@ from tropgen.generic import (
 )
 from tropgen.groebner import buchberger
 from tropgen.halfspaces import find_point
-from tropgen.poly import (Ideal, TermOrder, parse_ideal_file,
-                          parse_polynomial, weight_order)
+from tropgen.linalg import vec_dot
+from tropgen.poly import (GRLEX, Ideal, TermOrder, parse_ideal_file,
+                          parse_polynomial)
 from tropgen.weights import (
     BudgetExceededError,
     IncompleteFanError,
@@ -28,11 +26,9 @@ from tropgen.weights import (
     _generic_start,
     enumerate_groebner_fan,
     groebner_cone,
-    head_rows,
     in_tropical_variety,
     initial_form,
     initial_ideal_generators,
-    marks_heads,
     normalize_grid_point,
     weight_gb,
 )
@@ -291,27 +287,31 @@ def transformed_corpus_ideal(name):
     return transform_ideal(ideal, random_transform(ideal.n, 50, trial_seed(1, 0)))
 
 
+def initial_basis(gb, key):
+    """The GRLEX reduced basis of the initial forms in_key(g), g in gb, as
+    a set of (head, element) pairs."""
+    reduced = buchberger([initial_form(g, key) for g in gb.elements], GRLEX)
+    return set(zip(reduced.heads, reduced.elements))
+
+
 class TestBasisReuse:
     """A stored marked basis is reused only where it is the reduced basis."""
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
-    def test_reused_basis_is_the_fresh_basis(self, name, monkeypatch):
+    def test_reused_basis_is_the_fresh_basis(self, name):
+        # the basis that answers a key, moved to the front, holds the key
+        # in its closed cone, and its initial forms generate in_key(J): the
+        # reduced basis of those forms is the fresh basis's
         J = transformed_corpus_ideal(name)
-        used = []
-
-        def recording(gb, *ws):
-            used.append((gb, ws))
-            return groebner_cone(gb, *ws)
-
-        monkeypatch.setattr(weights, "groebner_cone", recording)
         mm = MembershipMap(J)
         for w in normalized_grid(J.n, 2):
             assert mm.query(w) == in_tropical_variety(J, w), w
-        assert len(used) == len(mm._cones)
-        for gb, (key,) in used:
-            fresh = weight_gb(J, key)
-            assert set(zip(gb.heads, gb.elements)) == \
-                set(zip(fresh.heads, fresh.elements)), key
+            gb, key = mm._bases[0][0], normalize_grid_point(w)
+            assert all(vec_dot(key, h) <= vec_dot(key, e)
+                       for g, h in zip(gb.elements, gb.heads)
+                       for e, _ in g.terms), key
+            assert initial_basis(gb, key) == \
+                initial_basis(weight_gb(J, key), key), key
 
     def test_other_heads_need_another_basis(self, monkeypatch):
         calls = []
@@ -328,52 +328,14 @@ class TestBasisReuse:
         assert calls == [((0, 1),), ((1, 0),)]
 
 
-@cache
-def reuse_cases():
-    """(weight, basis) for every transformed corpus ideal at every point of
-    its radius-1 normalized grid."""
-    cases = []
-    for name in CORPUS_IDEALS:
-        J = transformed_corpus_ideal(name)
-        cases += [(w, weight_gb(J, w)) for w in normalized_grid(J.n, 1)]
-    return cases
-
-
-def marks_heads_by_key(gb, key):
-    """The reuse test as TermOrder.key decides it."""
-    order = weight_order(key)
-    return all(g.head_monomial(order) == h
-               for g, h in zip(gb.elements, gb.heads))
-
-
 class TestReuseRows:
-    """The row test marks_heads(head_rows(gb), key) is the head test."""
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_rows_decide_as_the_term_order(self, data):
-        # keys near a multiple of a basis's own weight tie many rows; the
-        # scale and noise may both be zero
-        w, gb = data.draw(st.sampled_from(reuse_cases()))
-        scale = data.draw(st.integers(0, 3))
-        noise = data.draw(st.lists(st.integers(-2, 2), min_size=gb.n,
-                                   max_size=gb.n))
-        key = tuple(scale * x + y for x, y in zip(w, noise))
-        assert marks_heads(head_rows(gb), key) == marks_heads_by_key(gb, key)
-
-    def test_zero_and_own_keys(self):
-        # at the zero key every row ties and lex decides; at its own weight
-        # a basis is always reused
-        for w, gb in reuse_cases():
-            rows = head_rows(gb)
-            zero = (0,) * gb.n
-            assert marks_heads(rows, zero) == marks_heads_by_key(gb, zero)
-            assert marks_heads(rows, w) and marks_heads_by_key(gb, w)
+    """A stored basis answers a key from its integer rows alone."""
 
     def test_reuse_evaluates_no_term_order_key(self, monkeypatch):
-        # a reused basis costs no TermOrder.key; the saturation test, which
-        # runs Buchberger, is not counted
-        key_calls, counting = [], [True]
+        # a lookup on a stored basis, on a stored face or on a new one,
+        # costs no TermOrder.key; the saturation test, which runs
+        # Buchberger, is not counted
+        key_calls, saturations, counting = [], [], [True]
         original_key = TermOrder.key
         saturation = weights.contains_monomial
 
@@ -383,6 +345,7 @@ class TestReuseRows:
             return original_key(self, exp)
 
         def uncounted(generators, n):
+            saturations.append(generators)
             counting[0] = False
             try:
                 return saturation(generators, n)
@@ -399,15 +362,19 @@ class TestReuseRows:
         monkeypatch.setattr(weights, "contains_monomial", uncounted)
         monkeypatch.setattr(weights, "weight_gb", recording_gb)
         mm = MembershipMap(I(3, *TestWorkCounts.TWISTED_CUBIC))
-        reuses = 0
+        new_faces = stored_faces = 0
         for w in normalized_grid(3, 2):
-            before = len(key_calls), len(gb_calls), len(mm._cones)
+            before = len(key_calls), len(gb_calls), len(saturations)
             mm.query(w)
-            after = len(key_calls), len(gb_calls), len(mm._cones)
-            if after[1:] == (before[1], before[2] + 1):  # a basis reused
-                reuses += 1
+            after = len(key_calls), len(gb_calls), len(saturations)
+            if after[1] == before[1]:  # a stored basis answered
                 assert after[0] == before[0], w
-        assert reuses == 10  # 19 misses, 9 bases
+                if after[2] > before[2]:
+                    new_faces += 1
+                else:
+                    stored_faces += 1
+        # 37 keys: 9 bases, 10 more faces on them, 18 faces met again
+        assert (len(gb_calls), new_faces, stored_faces) == (9, 10, 18)
 
 
 class TestWorkCounts:
@@ -439,26 +406,41 @@ class TestWorkCounts:
         monkeypatch.setattr(weights, "buchberger", counting)
         return calls
 
-    def test_membership_map_one_basis_per_miss(self, weight_gb_calls):
-        # 19 misses share the bases of the 9 maximal cones of the fan
+    @pytest.fixture
+    def saturations(self, monkeypatch):
+        calls = []
+        saturation = weights.contains_monomial
+
+        def counting(generators, n):
+            calls.append(generators)
+            return saturation(generators, n)
+
+        monkeypatch.setattr(weights, "contains_monomial", counting)
+        return calls
+
+    def test_membership_map_one_basis_per_miss(self, weight_gb_calls,
+                                               saturations):
+        # the 37 keys meet the 9 maximal cones of the fan, and 19 faces of
+        # them, each saturated once
         mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
         for w in normalized_grid(3, 2):
             mm.query(w)
-        misses = len(mm._cones)
-        assert misses == 19
-        assert len(weight_gb_calls) == 9
+        assert len(mm._bases) == len(weight_gb_calls) == 9
+        assert sum(len(faces) for _, _, faces in mm._bases) == 19
+        assert len(saturations) == 19
 
-    def test_repeated_key_is_answered_by_its_cone(self, weight_gb_calls):
-        # w, w + c*(1,..,1) and 2w share one normalized key, which lies in
-        # the relative interior of the cone stored for it
+    def test_repeated_key_is_answered_by_its_cone(self, weight_gb_calls,
+                                                  saturations):
+        # w, w + c*(1,..,1) and 2w share one normalized key, whose face of
+        # the stored basis's closed cone keeps the verdict
         mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
         for w in [(0, 1, 3), (1, 1, 2), (0, 0, 0), (2, 0, 1), (0, 0, 1)]:
             verdict = mm.query(w)
-            cones, calls = len(mm._cones), len(weight_gb_calls)
+            calls = len(weight_gb_calls), len(saturations)
             for again in (tuple(x - 2 for x in w), tuple(x + 5 for x in w),
                           tuple(2 * x for x in w)):
                 assert mm.query(again) == verdict, (w, again)
-            assert (len(mm._cones), len(weight_gb_calls)) == (cones, calls)
+            assert (len(weight_gb_calls), len(saturations)) == calls
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_membership_map_at_most_one_basis_per_cone(self, name,
