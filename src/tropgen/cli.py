@@ -6,13 +6,15 @@ runs with the same input, seed and flags.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
-TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials or
---bound below 1, a matrix without 1 <= r <= n - 1 independent rows, an
-input file that is not UTF-8, an integer literal longer than Python
-converts), 3 improper ideal (contains a unit) or, for linear -w, a matrix
-that fails the closed form's genericity condition (a vanishing right-block
-entry or maximal minor), 4 persistent transform disagreement or no
-suitable random transform within --bound, 5 fan budget exceeded.
+TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
+--bound or fan wn --n below 1, a --criteria number outside 1..10, a
+matrix without 1 <= r <= n - 1 independent rows, an input file that is
+not UTF-8, an integer literal longer than Python converts), 3 improper
+ideal (contains a unit) or, for linear -w, a matrix that fails the closed
+form's genericity condition (a vanishing right-block entry or maximal
+minor), 4 persistent transform disagreement or no suitable random
+transform within --bound (principal on x1^3*x2 - x1*x2^3 with --bound 1:
+every such transform zeroes both pure powers), 5 fan budget exceeded.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .special import (
     parse_matrix_file,
     right_block_nonzero,
 )
-from .verify import Corpus, VerifySession
+from .verify import CRITERION_NAMES, Corpus, VerifySession
 from .weights import (
     BudgetExceededError,
     BudgetSettingError,
@@ -334,6 +336,10 @@ def cmd_verify_corpus(args) -> int:
             numbers = [int(s) for s in args.criteria.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad criteria list: {exc}", 0)
+        for k in numbers:
+            if k not in CRITERION_NAMES:
+                raise ParseError(f"no criterion {k}: criteria are "
+                                 f"1..{max(CRITERION_NAMES)}", 0)
     session = VerifySession(corpus, seed=args.seed, trials=args.trials,
                             bound=args.bound, grid=args.grid)
     results = session.run(numbers)
@@ -363,9 +369,10 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    # an empty grid or no trials would pass every check on nothing
-    for key, low in (("grid", 0), ("trials", 1), ("bound", 1)):
-        if getattr(args, key) < low:
+    # an empty grid or no trials would pass every check on nothing, and
+    # W(n) needs a variable
+    for key, low in (("grid", 0), ("trials", 1), ("bound", 1), ("n", 1)):
+        if getattr(args, key, low) < low:
             print(f"error: --{key} must be >= {low}, not {getattr(args, key)}",
                   file=sys.stderr)
             return EXIT_PARSE

@@ -26,7 +26,7 @@ from .fans import skeleton_membership
 from .groebner import buchberger
 from .linalg import QQ, rank
 from .poly import GRLEX, Ideal, Polynomial, TermOrder
-from .weights import MembershipMap, normalize_grid_point
+from .weights import MembershipMap, in_tropical_variety, normalize_grid_point
 
 
 class DisagreementError(RuntimeError):
@@ -225,8 +225,6 @@ def check_lineality(report: GenericityReport):
     The stored map is keyed on normalized points, for which this holds by
     construction; this re-derives each shifted verdict from scratch on the
     first transform to check the underlying invariance, on a sample."""
-    from .weights import in_tropical_variety
-
     J = transform_ideal(report.ideal, report.transforms[0])
     sample = list(report.membership.items())[::max(1, len(report.membership) // 8)]
     for w, verdict in sample:

@@ -23,21 +23,22 @@ reported RREF.
 The generic tropical variety is again a skeleton: W(n)^m with m = n - r.
 
 Each check runs one grid campaign (generic_membership_map) whose
-transforms pass the family's gate: full support of g(f) for a principal
-ideal, nonzero maximal minors of A*g for a linear one.  Its closed-form
-comparisons then run on the campaign's first transform.
+transforms pass the family's gate: nonzero pure powers x_k^d in g(f) for a
+principal ideal, nonzero maximal minors of A*g for a linear one.  Its
+closed-form comparisons then run on the campaign's first transform, and
+it returns a ClosedFormReport.
 """
 
 from __future__ import annotations
 
+import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
 from .fans import Cone, build_W, make_cone, plateau_cone, same_cone, unit_diff
 from .generic import (
-    apply_transform,
     check_skeleton_equality,
     generic_membership_map,
     transform_ideal,
@@ -67,72 +68,63 @@ def pure_power_coefficients(f: Polynomial, g) -> tuple:
 
 
 @dataclass
-class PrincipalReport:
-    """Outcome of the principal-ideal theorem checks."""
+class ClosedFormReport:
+    """Outcome of a closed-form check: each check's JSON key mapped to its
+    verdict, and the mismatches behind the false ones."""
 
-    pure_powers_nonzero: bool = True
-    grid_equal_skeleton: bool = True
-    fan_equals_W: bool = True
-    mismatches: list = field(default_factory=list)
+    checks: dict
+    mismatches: list
+
+    @classmethod
+    def of(cls, **found):
+        """The report of checks that found these lists of mismatches: a
+        check passes when it found none."""
+        return cls({key: not mism for key, mism in found.items()},
+                   [m for mism in found.values() for m in mism])
 
     @property
     def ok(self) -> bool:
-        return (self.pure_powers_nonzero and self.grid_equal_skeleton
-                and self.fan_equals_W)
+        return all(self.checks.values())
 
     def to_jsonable(self) -> dict:
-        return {
-            "pure_powers_nonzero": self.pure_powers_nonzero,
-            "grid_equal_skeleton": self.grid_equal_skeleton,
-            "fan_equals_W": self.fan_equals_W,
-            "mismatches": [repr(m) for m in self.mismatches],
-        }
+        return {**self.checks,
+                "mismatches": [repr(m) for m in self.mismatches]}
 
 
 def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
-                            bound: int = 50, radius: int = 2) -> PrincipalReport:
-    """One grid campaign on (f) whose transforms g give g(f) all degree-d
-    monomials, a dense open condition for deg f >= 1 that no transform
-    meets when the bound rules it out (f = x1*x2 with bound 1:
-    TransformSearchError).  Checks that every campaign transform has
-    nonzero pure-power coefficients, that the agreed grid membership
-    equals the (n-1)-skeleton of W(n), and (n <= 4, first transform) that
-    the Groebner fan of g(f) is same_cone-bijective with the maximal cones
-    of W(n)."""
-    n, d = f.n, f.homogeneous_degree()
-    full = comb(n + d - 1, d)
+                            bound: int = 50,
+                            radius: int = 2) -> ClosedFormReport:
+    """One grid campaign on (f) whose transforms g give g(f) every pure
+    power x_k^d, a dense open condition for deg f >= 1 that no transform
+    meets when the bound rules it out (f = x1^3*x2 - x1*x2^3 with bound 1:
+    TransformSearchError).  Then the Newton polytope of g(f) has every
+    vertex d*e_k, so its normal fan, the Groebner fan of g(f), is W(n).
+    Checks that the agreed grid membership equals the (n-1)-skeleton of
+    W(n), and (n <= 4, first transform) that the Groebner fan of g(f) is
+    same_cone-bijective with the maximal cones of W(n)."""
+    n = f.n
     campaign = generic_membership_map(
         Ideal.of(n, (f,)), grid_radius=radius, trials=trials, bound=bound,
-        seed=seed, accept=lambda g: len(apply_transform(f, g).terms) == full)
-    report = PrincipalReport()
-    for trial, g in enumerate(campaign.transforms):
-        if any(p == 0 for p in pure_power_coefficients(f, g)):
-            # full support includes the pure powers, so this cannot happen
-            report.pure_powers_nonzero = False
-            report.mismatches.append(("pure_power_zero", trial))
-    ok, mism = check_skeleton_equality(campaign, n - 1)
-    if not ok:
-        report.grid_equal_skeleton = False
-        report.mismatches.append(("grid", mism[:5]))
-    if n <= 4:
-        ok, detail = _fan_equals_W(
-            transform_ideal(campaign.ideal, campaign.transforms[0]))
-        if not ok:
-            report.fan_equals_W = False
-            report.mismatches.append(("fan", detail))
-    return report
+        seed=seed, accept=lambda g: all(pure_power_coefficients(f, g)))
+    _, grid = check_skeleton_equality(campaign, n - 1)
+    return ClosedFormReport.of(
+        # the campaign's gate: it returns no transform without them
+        pure_powers_nonzero=[],
+        grid_equal_skeleton=[("grid", grid[:5])] if grid else [],
+        fan_equals_W=_fan_mismatches(transform_ideal(
+            campaign.ideal, campaign.transforms[0])) if n <= 4 else [])
 
 
-def _fan_equals_W(ideal: Ideal):
+def _fan_mismatches(ideal: Ideal) -> list:
     n = ideal.n
     fan = enumerate_groebner_fan(ideal)
     expected = [c for c in build_W(n).cones if len(c.label) == 1]
     if len(fan.cones) != len(expected):
-        return (False, f"{len(fan.cones)} cones, expected {len(expected)}")
+        return [("fan", f"{len(fan.cones)} cones, expected {len(expected)}")]
     for c in fan.cones:
         if not any(same_cone(c, e) for e in expected):
-            return (False, f"unexpected cone {c.inequalities}")
-    return (True, None)
+            return [("fan", f"unexpected cone {c.inequalities}")]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -262,35 +254,8 @@ def linear_fan_census(n: int, r: int) -> dict:
 LINEAR_WEIGHTS = 20  # random weights at which closed form and engine meet
 
 
-@dataclass
-class LinearReport:
-    """Outcome of the linear-ideal theorem checks."""
-
-    rank_matches_dim: bool = True
-    cones_agree: bool = True
-    grid_equal_skeleton: bool = True
-    skeleton_cones_found: bool = True
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return (self.rank_matches_dim and self.cones_agree
-                and self.grid_equal_skeleton and self.skeleton_cones_found)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "rank_matches_dim": self.rank_matches_dim,
-            # the campaign's gate: it returns no transform without them
-            "minors_nonzero": True,
-            "cones_agree": self.cones_agree,
-            "grid_equal_skeleton": self.grid_equal_skeleton,
-            "skeleton_cones_found": self.skeleton_cones_found,
-            "mismatches": [repr(m) for m in self.mismatches],
-        }
-
-
 def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
-                         bound: int = 50, radius: int = 2) -> LinearReport:
+                         bound: int = 50, radius: int = 2) -> ClosedFormReport:
     """Run the linear-ideal checks for one coefficient matrix A (its rows).
 
     (a) n - rank(A) equals the Krull dimension of the ideal; (b) one grid
@@ -302,44 +267,38 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
     grid membership equals the m-skeleton of W(n); (e) every maximal cone
     of W(n)^m is one of the closed-form plateau cones.
     """
-    import random as _random
-
     n, r = len(rows[0]), rank(rows)
     m = n - r
     ideal = linear_ideal(rows)
-    report = LinearReport()
-
-    if krull_dimension(ideal) != m:
-        report.rank_matches_dim = False
-        report.mismatches.append(("dim", krull_dimension(ideal), m))
+    dim = krull_dimension(ideal)
 
     campaign = generic_membership_map(
         ideal, grid_radius=radius, trials=trials, bound=bound, seed=seed,
         accept=lambda g: check_minors(mat_mul(rows, g), n))
 
     # generic: the closed form's precondition holds for this ideal
-    rng = _random.Random(trial_seed(seed, 0) * 13 + 5)
-    lin_ideal = linear_ideal(mat_mul(rows, campaign.transforms[0]))
-    for _ in range(LINEAR_WEIGHTS):
-        w = tuple(rng.randint(-3, 3) for _ in range(n))
-        closed = linear_groebner_cone(r, n, w)
-        engine = groebner_cone(weight_gb(lin_ideal, w), w)
-        if not same_cone(closed, engine):
-            report.cones_agree = False
-            report.mismatches.append(("cone", w))
+    rng = random.Random(trial_seed(seed, 0) * 13 + 5)
+    lin_ideal = transform_ideal(ideal, campaign.transforms[0])
+    weights = [tuple(rng.randint(-3, 3) for _ in range(n))
+               for _ in range(LINEAR_WEIGHTS)]
+    cones = [("cone", w) for w in weights
+             if not same_cone(linear_groebner_cone(r, n, w),
+                              groebner_cone(weight_gb(lin_ideal, w), w))]
 
-    ok, mism = check_skeleton_equality(campaign, m)
-    if not ok:
-        report.grid_equal_skeleton = False
-        report.mismatches.append(("grid", mism[:5]))
+    _, grid = check_skeleton_equality(campaign, m)
 
     # maximal cones of W(n)^m are the closed-form plateau cones with empty
     # below-block and plateau size r + 1; witness each by the indicator
     # weight vanishing on the plateau
     w_cones = {c.label: c for c in build_W(n).cones}
+    lost = []
     for E in combinations(range(n), r + 1):
         w = tuple(0 if i in E else 1 for i in range(n))
         if not same_cone(linear_groebner_cone(r, n, w), w_cones[E]):
-            report.skeleton_cones_found = False
-            report.mismatches.append(("skeleton_cone", E))
-    return report
+            lost.append(("skeleton_cone", E))
+    return ClosedFormReport.of(
+        rank_matches_dim=[] if dim == m else [("dim", dim, m)],
+        minors_nonzero=[],  # the campaign's gate, as above
+        cones_agree=cones,
+        grid_equal_skeleton=[("grid", grid[:5])] if grid else [],
+        skeleton_cones_found=lost)

@@ -11,9 +11,11 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
+from . import __version__
 from .fans import (
     build_W,
     cone_dim,
@@ -30,13 +32,14 @@ from .generic import (
     normalized_grid,
 )
 from .groebner import buchberger, contains_monomial, normal_form
-from .linalg import QQ
+from .linalg import QQ, rank
 from .poly import (
     GRLEX,
     Ideal,
     ParseError,
     Polynomial,
     parse_ideal_file,
+    parse_polynomial,
     read_input,
     weight_order,
 )
@@ -146,7 +149,7 @@ class VerifySession:
         self._campaign_reports = {}
 
     def run(self, numbers=None):
-        numbers = sorted(numbers) if numbers else sorted(CRITERION_NAMES)
+        numbers = sorted(set(numbers or CRITERION_NAMES))
         results = []
         for k in numbers:
             fn = getattr(self, f"_criterion_{k}")
@@ -306,7 +309,7 @@ class VerifySession:
             results = self.run(numbers)
         return {
             "tool": "tropgen",
-            "version": _version(),
+            "version": __version__,
             "seed": self.seed,
             "trials": self.trials,
             "bound": self.bound,
@@ -321,15 +324,8 @@ class VerifySession:
         return dumps_canonical(self.report_jsonable(results, numbers))
 
 
-def _version() -> str:
-    from . import __version__
-    return __version__
-
-
 def _random_homogeneous(rng, n, max_degree):
     """Random homogeneous polynomial with at least two terms, or None."""
-    from itertools import combinations_with_replacement
-
     d = rng.randint(1, max_degree)
     monos = [tuple(sum(1 for v in pick if v == i) for i in range(n))
              for pick in combinations_with_replacement(range(n), d)]
@@ -345,12 +341,10 @@ def _random_homogeneous(rng, n, max_degree):
 
 
 def _random_full_rank(rng, r, n):
-    from .linalg import rank as _rank
-
     while True:
         rows = tuple(tuple(rng.randint(-5, 5) for _ in range(n))
                      for _ in range(r))
-        if _rank(rows) == r:
+        if rank(rows) == r:
             return rows
 
 
@@ -367,7 +361,6 @@ def _oracle_ideals(rng):
         (["x1 - x2", "x1 - x3"], 3),
         (["x1^2 - x2^2"], 2),
     ]
-    from .poly import parse_polynomial
     for texts, n in fixed:
         out.append((tuple(parse_polynomial(t, n) for t in texts), n))
     while len(out) < 20:
@@ -384,8 +377,6 @@ def _oracle_ideals(rng):
 
 def _brute_force_contains_monomial(gens, n, max_degree):
     """Reduce every monomial of degree <= max_degree to normal form."""
-    from itertools import combinations_with_replacement
-
     gb = buchberger(gens, GRLEX)
     for d in range(1, max_degree + 1):
         for pick in combinations_with_replacement(range(n), d):

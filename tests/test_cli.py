@@ -207,6 +207,12 @@ class TestFan:
         code, out, _ = run(capsys, "fan", "wn", "--n", "3")
         assert code == 0 and "7 cones" in out
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_wn_without_variables_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "fan", "wn", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n must be >= 1")
+
     def test_wn_skeleton(self, capsys):
         code, out, _ = run(capsys, "fan", "wn", "--n", "4", "--skeleton", "2",
                            "--json")
@@ -275,6 +281,15 @@ class TestLinear:
                            "--trials", "2", "--grid", "1")
         assert code == 0 and "rank = 2, dim = 2" in out
 
+    def test_checks_keys(self, capsys):
+        code, out, _ = run(capsys, "linear", str(CORPUS / "linear_r1_n3.matrix"),
+                           "--trials", "2", "--grid", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["checks"] == {
+            "rank_matches_dim": True, "minors_nonzero": True,
+            "cones_agree": True, "grid_equal_skeleton": True,
+            "skeleton_cones_found": True, "mismatches": []}
+
     def test_cone_at_weight(self, capsys):
         code, out, _ = run(capsys, "linear", str(CORPUS / "linear_r1_n3.matrix"),
                            "-w", "0,1,2", "--json")
@@ -333,13 +348,31 @@ class TestPrincipal:
         code, _, _ = run(capsys, "principal", str(CORPUS / "point"))
         assert code == 2
 
-    def test_no_full_support_transform_exit_4(self, capsys):
-        # (a x1 + b x2)(c x1 + d x2) with entries in [-1, 1] and ad != bc
-        # has x1*x2 coefficient ad + bc = 0
-        code, out, err = run(capsys, "principal",
-                             str(CORPUS / "monomial_x1x2"), "--bound", "1")
+    def test_pure_powers_suffice_at_bound_1(self, capsys):
+        # g(x1*x2) = x1^2 - x2^2 passes the gate: the Groebner fan of g(f)
+        # is W(2) once both pure powers are nonzero, whatever x1*x2's
+        # coefficient
+        code, out, _ = run(capsys, "principal",
+                           str(CORPUS / "monomial_x1x2"), "--bound", "1")
+        assert code == 0 and "PASS" in out
+
+    def test_no_pure_power_transform_exit_4(self, capsys, tmp_path):
+        # x_k^4 in g(f) has coefficient ab(a^2 - b^2) for the column
+        # (a, b) of g, zero on every column in {-1, 0, 1}^2
+        f = tmp_path / "quartic"
+        f.write_text("vars: 2\nx1^3*x2 - x1*x2^3\n")
+        code, out, err = run(capsys, "principal", str(f), "--bound", "1")
         assert code == 4 and out == ""
         assert err.startswith("error: ") and "larger --bound" in err
+
+    def test_checks_keys(self, capsys):
+        code, out, _ = run(capsys, "principal",
+                           str(CORPUS / "principal_n3_generic"),
+                           "--trials", "2", "--grid", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["checks"] == {
+            "pure_powers_nonzero": True, "grid_equal_skeleton": True,
+            "fan_equals_W": True, "mismatches": []}
 
 
 class TestVerifyCorpus:
@@ -391,6 +424,19 @@ class TestVerifyCorpus:
         (tmp_path / "manifest.json").write_text(text)
         code, out, err = run(capsys, "verify-corpus", str(tmp_path))
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("criteria", ["11", "0", "3,11"])
+    def test_unknown_criterion_exit_2(self, capsys, criteria):
+        code, out, err = run(capsys, "verify-corpus", str(CORPUS),
+                             "--criteria", criteria)
+        assert code == 2 and out == ""
+        assert err.startswith("error: no criterion ") and "1..10" in err
+
+    def test_repeated_criterion_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify-corpus", str(CORPUS), "--criteria",
+                           "7,3,7", "--json")
+        assert code == 0
+        assert [c["number"] for c in json.loads(out)["criteria"]] == [3, 7]
 
     @pytest.mark.parametrize("flag,value", BAD_CAMPAIGN_PARAMETERS)
     def test_bad_campaign_parameter_exit_2(self, capsys, flag, value):

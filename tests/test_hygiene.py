@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no public function, class or method is defined that the package never
-uses, and every name the benchmark's tracer wraps still resolves."""
+"""Source hygiene: no module of the package imports a name it never uses
+or imports inside a function, no public function, class or method is
+defined that the package never uses, and every name the benchmark's
+tracer wraps still resolves."""
 
 import ast
 import importlib
@@ -52,6 +53,27 @@ def test_detector_flags_unused_and_accepts_used():
               "from math import gcd, lcm\n"
               "print(json.dumps(gcd(4, 6)))\n")
     assert unused_imports(source) == ["lcm (line 3)", "os (line 1)"]
+
+
+def function_imports(source: str) -> list:
+    """Import statements inside function bodies, as "function (line n)"."""
+    return sorted(f"{fn.name} (line {node.lineno})"
+                  for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    assert function_imports(path.read_text()) == []
+
+
+def test_function_import_detector():
+    source = ("import os\n"
+              "def f():\n    from math import gcd\n    return gcd\n"
+              "class C:\n    def m(self):\n        import json\n")
+    assert function_imports(source) == ["f (line 3)", "m (line 7)"]
 
 
 # console-script entry points (pyproject.toml), called from outside
