@@ -7,9 +7,10 @@ runs with the same input, seed and flags.
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk found no cone across a facet, 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
---bound or fan wn --n below 1, a --criteria number outside 1..10, a
-matrix without 1 <= r <= n - 1 independent rows, an input file that is
-not UTF-8, an integer literal longer than Python converts), 3 improper
+--bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
+--criteria number outside 1..10, a matrix without 1 <= r <= n - 1
+independent rows, an input file that is not UTF-8, an integer literal
+longer than Python converts), 3 improper
 ideal (contains a unit) or, for linear -w, a matrix that fails the closed
 form's genericity condition (a vanishing right-block entry or maximal
 minor), 4 persistent transform disagreement or no suitable random
@@ -26,7 +27,6 @@ from itertools import count
 
 from . import __version__
 from .fans import (
-    build_W,
     cone_to_jsonable,
     dumps_canonical,
     fan_to_jsonable,
@@ -61,13 +61,14 @@ from .special import (
     parse_matrix_file,
     right_block_nonzero,
 )
-from .verify import CRITERION_NAMES, Corpus, VerifySession
+from .verify import Corpus, VerifySession
 from .weights import (
     BudgetExceededError,
     BudgetSettingError,
     IncompleteFanError,
     enumerate_groebner_fan,
-    initial_ideal_generators,
+    initial_forms,
+    weight_gb,
 )
 
 EXIT_OK = 0
@@ -77,6 +78,17 @@ EXIT_IMPROPER = 3
 EXIT_DISAGREE = 4
 EXIT_BUDGET = 5
 
+# exit code and message suffix per failure; no class subclasses another
+FAILURES = {
+    ParseError: (EXIT_PARSE, ""),
+    BudgetSettingError: (EXIT_PARSE, ""),
+    ImproperIdealError: (EXIT_IMPROPER, ""),
+    NonGenericMatrixError: (EXIT_IMPROPER, ""),
+    DisagreementError: (EXIT_DISAGREE, ""),
+    TransformSearchError: (EXIT_DISAGREE, "; try a larger --bound"),
+    BudgetExceededError: (EXIT_BUDGET, ""),
+    IncompleteFanError: (EXIT_FAIL, ""),
+}
 
 _GLOBAL_DEFAULTS = {"seed": 1, "trials": 3, "bound": 50, "grid": 3,
                     "json": False, "out": None}
@@ -191,7 +203,7 @@ def _monomial_certificate(n, gens):
     gb = buchberger(gens, GRLEX)
     for k in count(1):
         mono = Polynomial(n, ((tuple([k] * n), QQ(1)),))
-        if normal_form(mono, gb.elements, gb.heads, gb.order).is_zero:
+        if normal_form(mono, gb).is_zero:
             return mono
 
 
@@ -199,8 +211,8 @@ def cmd_member(args) -> int:
     ideal = _load_ideal(args.ideal)
     w = _parse_weight(args.weight, ideal.n)
     # one w-refined basis gives both the verdict and the certificate
-    gens = initial_ideal_generators(ideal, w)
-    inside = not contains_monomial(gens, ideal.n)
+    gens = initial_forms(weight_gb(ideal, w), w)
+    inside = not contains_monomial(gens)
     report = _base_report(args)
     report.update({"command": "member", "weight": list(w), "member": inside})
     lines = [f"w = {w}: {'true' if inside else 'false'}"]
@@ -250,12 +262,15 @@ def cmd_generic(args) -> int:
 
 def cmd_fan(args) -> int:
     if args.fan_kind == "wn":
-        if args.skeleton is None:
-            fan = build_W(args.n)
-        else:
-            fan = w_skeleton(args.n, args.skeleton)
+        # the n-skeleton of W(n) is W(n), and --n is at least 1
+        m = args.n if args.skeleton is None else args.skeleton
+        if not 0 <= m <= args.n:
+            print(f"error: --skeleton must be in 0..{args.n}, not {m}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+        fan = w_skeleton(args.n, m)
         label = f"W({args.n})" + (
-            f" skeleton {args.skeleton}" if args.skeleton is not None else "")
+            "" if args.skeleton is None else f" skeleton {m}")
     else:
         ideal = _load_ideal(args.ideal)
         fan = enumerate_groebner_fan(ideal)
@@ -336,10 +351,6 @@ def cmd_verify_corpus(args) -> int:
             numbers = [int(s) for s in args.criteria.split(",")]
         except ValueError as exc:
             raise ParseError(f"bad criteria list: {exc}", 0)
-        for k in numbers:
-            if k not in CRITERION_NAMES:
-                raise ParseError(f"no criterion {k}: criteria are "
-                                 f"1..{max(CRITERION_NAMES)}", 0)
     session = VerifySession(corpus, seed=args.seed, trials=args.trials,
                             bound=args.bound, grid=args.grid)
     results = session.run(numbers)
@@ -378,24 +389,10 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, BudgetSettingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ImproperIdealError, NonGenericMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMPROPER
-    except DisagreementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREE
-    except TransformSearchError as exc:
-        print(f"error: {exc}; try a larger --bound", file=sys.stderr)
-        return EXIT_DISAGREE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except IncompleteFanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except tuple(FAILURES) as exc:
+        code, hint = next(v for k, v in FAILURES.items() if isinstance(exc, k))
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

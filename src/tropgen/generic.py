@@ -129,8 +129,6 @@ class GenericityReport:
 
     ideal: Ideal
     seed: int
-    trials: int
-    bound: int
     grid_radius: int
     transforms: tuple  # transforms of the agreeing round
     membership: Mapping  # normalized grid point -> verdict
@@ -139,8 +137,8 @@ class GenericityReport:
     def to_jsonable(self) -> dict:
         return {
             "seed": self.seed,
-            "trials": self.trials,
-            "initial_bound": self.bound,
+            "trials": len(self.transforms),
+            "initial_bound": self.escalations[0],
             "grid_radius": self.grid_radius,
             "bounds_used": list(self.escalations),
             "retries": len(self.escalations) - 1,
@@ -182,7 +180,7 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
             mm = MembershipMap(transform_ideal(ideal, g))
             maps.append(tuple(mm.query(w) for w in points))
         if all(m == maps[0] for m in maps[1:]):
-            return GenericityReport(ideal, seed, trials, bound, grid_radius,
+            return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),
                                     GridMembership(n, grid_radius, maps[0]),
                                     escalations)

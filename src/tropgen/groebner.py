@@ -8,8 +8,8 @@ deterministic.  Heads are the order-maximal terms under the preference key
 of the order; for weight-refined orders on homogeneous input this marks the
 terms of minimal weight.
 
-The engine is fraction-free.  Inside buchberger, interreduce and
-normal_form an element is a primitive integer polynomial, kept as its head
+The engine is fraction-free.  Inside buchberger, lift and normal_form an
+element is a primitive integer polynomial, kept as its head
 x^h, a positive head coefficient a and an integer tail (its exponents and
 its coefficients as two tuples, so that converting a basis makes no tuple
 per term for Python's free lists to keep).  Reducing a term c*x^e by it
@@ -18,10 +18,10 @@ subtracts (c/gcd(a, c))*x^(e - h) times the tail, so every intermediate
 value is an integer; a new basis element is made primitive once, when its
 reduction ends.  Fractions appear only where polynomials enter (their
 denominators are cleared with numerator and denominator, no arithmetic)
-and where they leave: interreduce divides each element of the reduced
-basis by its head coefficient once, so every MarkedGB is monic on its
-heads (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
-section 7), with Fraction coefficients.
+and where they leave: each element of a reduced basis is divided by its
+head coefficient once, so every MarkedGB is monic on its heads (Cox,
+Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 7),
+with Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -134,13 +134,12 @@ def _reduce(work: dict, basis, heads, order: TermOrder) -> tuple:
     return remainder, scale
 
 
-def normal_form(p: Polynomial, basis, heads, order: TermOrder) -> Polynomial:
-    """Fully reduce p modulo the basis marked on heads, each head the
-    element's term that is maximal under order (tail reduction included).
+def normal_form(p: Polynomial, gb: MarkedGB) -> Polynomial:
+    """Fully reduce p modulo the marked basis gb (tail reduction included).
     The coefficients stay integers until the remainder is divided by the
     scale that clearing denominators and reduction introduced."""
     work, d = _integral(p)
-    r, s = _reduce(work, _elements(basis, heads), heads, order)
+    r, s = _reduce(work, _elements(gb.elements, gb.heads), gb.heads, gb.order)
     return Polynomial.from_dict(p.n, {e: QQ(c, d * s) for e, c in r.items()})
 
 
@@ -193,19 +192,34 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
     return _interreduce(n, basis, heads, order)
 
 
-def interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
-    """The reduced marked basis from a Groebner basis of polynomials marked
-    on heads, each head the element's term that is maximal under order."""
-    return _interreduce(n, _elements(basis, heads), heads, order)
+def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
+    """The reduced basis of the graded ideal I for initial's order from
+    the reduced bases gb of I and initial of in_p(I), for a weight p in
+    the closure of gb's cone that initial's order refines.  The in_p(g),
+    g in gb, are a Groebner basis of in_p(I), so dividing a p-homogeneous
+    h in initial by gb leaves a remainder r of larger p-weight only: with
+    d clearing h's denominators and s the scale of the reduction,
+    f = s*(d*h) - r lies in I with in_p(f) = s*d*h.  The f are a minimal
+    Groebner basis of I for initial's order, and inter-reducing them gives
+    the reduced basis, which is unique."""
+    basis = _elements(gb.elements, gb.heads)
+    lifted = []
+    for h, head in zip(initial.elements, initial.heads):
+        f, _ = _integral(h)
+        r, s = _reduce(dict(f), basis, gb.heads, gb.order)
+        f = {e: s * c for e, c in f.items()}
+        _add_shifted_tail(f, r, r.values(), (0,) * gb.n, -1)
+        lifted.append(_primitive(f, head))
+    return _interreduce(gb.n, lifted, initial.heads, initial.order)
 
 
 def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
-    """interreduce on primitive integer elements: drop elements whose head
-    another head divides, then reduce each tail by the others and divide
-    by the head coefficient.  No kept head divides another, and reduction
-    only adds terms smaller than the one it removes, so each head stays
-    unreduced, with coefficient a*s for the scale s of its tail's
-    reduction: the results are monic on the same heads."""
+    """The reduced basis from primitive integer elements of a Groebner basis
+    marked on heads: drop each whose head another head divides, then reduce
+    each tail by the others and divide by the head coefficient.  No kept head
+    divides another, and reduction only adds terms smaller than the one it
+    removes, so each head stays unreduced, with coefficient a*s for the scale s
+    of its tail's reduction: the results are monic on the same heads."""
     keep = [i for i, h in enumerate(heads)
             if not any(j != i and monomial_divides(heads[j], h)
                        and (heads[j] != h or j < i) for j in range(len(heads)))]
@@ -224,7 +238,7 @@ def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
     return MarkedGB(n, order, elements, heads)
 
 
-def contains_monomial(generators, n: int) -> bool:
+def contains_monomial(generators) -> bool:
     """True iff the homogeneous ideal J the generators span contains a
     monomial, which holds iff its saturation by xn, ..., x1 in turn is 1.
     Each step is Bayer and Stillman's: the reduced basis G of a homogeneous
@@ -236,6 +250,7 @@ def contains_monomial(generators, n: int) -> bool:
     single-term element of a saturation has a multiple in J, and a unit
     last saturation has a homogeneous element with head 1."""
     basis = list(generators)
+    n = basis[0].n
     for i in reversed(range(n)):
         if any(len(g.terms) == 1 for g in basis):
             return True

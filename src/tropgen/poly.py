@@ -154,10 +154,7 @@ class Polynomial:
         """Scale so the head coefficient (w.r.t. order) is 1."""
         if not self.terms:
             return self
-        head = max((e for e, _ in self.terms), key=order.key)
-        c = dict(self.terms)[head]
-        if c == 1:
-            return self
+        c = dict(self.terms)[self.head_monomial(order)]
         return Polynomial(self.n, tuple((e, co / c) for e, co in self.terms))
 
     def head_monomial(self, order: TermOrder) -> tuple:

@@ -283,7 +283,7 @@ def check_linear_theorem(rows, trials: int = 3, seed: int = 1,
                for _ in range(LINEAR_WEIGHTS)]
     cones = [("cone", w) for w in weights
              if not same_cone(linear_groebner_cone(r, n, w),
-                              groebner_cone(weight_gb(lin_ideal, w), w))]
+                              groebner_cone(weight_gb(lin_ideal, w)))]
 
     _, grid = check_skeleton_equality(campaign, m)
 

@@ -150,6 +150,10 @@ class VerifySession:
 
     def run(self, numbers=None):
         numbers = sorted(set(numbers or CRITERION_NAMES))
+        for k in numbers:
+            if k not in CRITERION_NAMES:
+                raise ParseError(f"no criterion {k}: criteria are "
+                                 f"1..{max(CRITERION_NAMES)}", 0)
         results = []
         for k in numbers:
             fn = getattr(self, f"_criterion_{k}")
@@ -284,7 +288,7 @@ class VerifySession:
         if len(ideals) < 20:
             return (False, f"only {len(ideals)} oracle ideals")
         for gens, n in ideals:
-            fast = contains_monomial(gens, n)
+            fast = contains_monomial(gens)
             slow = _brute_force_contains_monomial(gens, n, max_degree=6)
             if fast != slow:
                 return (False, f"disagreement on {[str(g) for g in gens]}: "
@@ -382,6 +386,6 @@ def _brute_force_contains_monomial(gens, n, max_degree):
         for pick in combinations_with_replacement(range(n), d):
             e = tuple(sum(1 for v in pick if v == i) for i in range(n))
             mono = Polynomial(n, ((e, QQ(1)),))
-            if normal_form(mono, gb.elements, gb.heads, gb.order).is_zero:
+            if normal_form(mono, gb).is_zero:
                 return True
     return False

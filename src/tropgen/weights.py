@@ -19,8 +19,7 @@ from math import gcd
 from operator import sub
 
 from .fans import Cone, Fan, make_cone, member
-from .groebner import (MarkedGB, buchberger, contains_monomial, interreduce,
-                       normal_form)
+from .groebner import MarkedGB, buchberger, contains_monomial, lift
 from .halfspaces import facets
 from .linalg import vec_dot
 from .poly import Ideal, Polynomial, weight_order
@@ -65,15 +64,15 @@ def weight_gb(ideal: Ideal, *weights) -> MarkedGB:
     return buchberger(ideal.generators, weight_order(*weights))
 
 
-def initial_ideal_generators(ideal: Ideal, w) -> tuple:
-    """Generators of in_w(I): initial forms of a w-refined Groebner basis."""
-    gb = weight_gb(ideal, w)
+def initial_forms(gb: MarkedGB, w) -> tuple:
+    """The initial forms in_w(g) of the elements of gb: generators of
+    in_w(I) when w lies in the closure of gb's cone (see MembershipMap)."""
     return tuple(initial_form(g, w) for g in gb.elements)
 
 
 def in_tropical_variety(ideal: Ideal, w) -> bool:
     """w lies in T(I) iff in_w(I) contains no monomial."""
-    return not contains_monomial(initial_ideal_generators(ideal, w), ideal.n)
+    return not contains_monomial(initial_forms(weight_gb(ideal, w), w))
 
 
 def head_rows(gb: MarkedGB) -> tuple:
@@ -84,9 +83,9 @@ def head_rows(gb: MarkedGB) -> tuple:
                                for e, _ in g.terms if e != h))
 
 
-def groebner_cone(gb: MarkedGB, *weights) -> Cone:
+def groebner_cone(gb: MarkedGB) -> Cone:
     """Closure of the set of weights with the marked basis gb, which is
-    the refined basis weight_gb(ideal, *weights).
+    the refined basis weight_gb(ideal, *gb.order.weights).
 
     Rows are head_exponent - other_exponent per Groebner basis element and
     term (head_rows): nonpositive on the cone (heads have minimal weight).
@@ -97,7 +96,7 @@ def groebner_cone(gb: MarkedGB, *weights) -> Cone:
     """
     eqs, ineqs = set(), set()
     for row in head_rows(gb):
-        if any(vec_dot(w, row) for w in weights):
+        if any(vec_dot(w, row) for w in gb.order.weights):
             ineqs.add(row)
         else:
             eqs.add(row)
@@ -116,11 +115,11 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
     each facet row of a cone with a point p in the facet's relative
     interior; the neighbouring cone is the cone of the order refining p by
     the row, and its reduced basis is lifted from the current cone's basis
-    (see _flip), so each cone after the first costs one Buchberger run on
-    initial forms and one division by the current basis.  A cone's basis
-    is kept only while the cone is on the stack.  The traversal stops with
-    BudgetExceededError when more than fan_budget() cones appear, and with
-    IncompleteFanError when a flip fails.
+    (see groebner.lift), so each cone after the first costs one Buchberger
+    run on initial forms and one division by the current basis.  A cone's
+    basis is kept only while the cone is on the stack.  The traversal stops
+    with BudgetExceededError when more than fan_budget() cones appear, and
+    with IncompleteFanError when a flip fails.
 
     A facet F of the current cone C is flipped only when no found cone
     with -row among its rows contains p.  The Groebner fan of a graded
@@ -171,32 +170,21 @@ def _generic_start(ideal: Ideal):
     units = [tuple(int(i == j) for j in range(ideal.n))
              for i in range(ideal.n)]
     gb = weight_gb(ideal, *units)
-    return groebner_cone(gb, *units), gb
+    return groebner_cone(gb), gb
 
 
 def _flip(cone: Cone, gb: MarkedGB, row, p):
     """(cone, basis) across the facet {row . x = 0} of cone, whose closure
     holds the facet point p; gb is the reduced basis of cone.
 
-    The neighbour is the cone of the order < refining p by the facet's
+    The neighbour is the cone of the order refining p by the facet's
     outer normal row, which is the order of p + eps*row for every small
     enough eps > 0 (Fukuda, Jensen and Thomas, "Computing Groebner fans",
-    2007, section 3).  Its basis is lifted from gb.  p lies in the closure
-    of gb's cone, so the initial forms in_p(g), g in gb, are a Groebner
-    basis of in_p(I) for gb's order, and Buchberger on them under < gives
-    the reduced basis H of in_p(I).  Each h in H lies in in_p(I); dividing
-    it by gb leaves a remainder of larger p-weight only, so
-    f = h - nf_gb(h) lies in I with in_p(f) = h.  As < refines p, the f
-    are a minimal Groebner basis of the graded ideal I for <, monic on the
-    heads of H, and inter-reducing them gives the reduced basis, which is
-    unique: the same basis, and the same cone, as a fresh Buchberger run.
+    2007, section 3); its basis is lifted from gb and the reduced basis
+    of in_p(I) for that order.
     """
-    order = weight_order(p, row)
-    initial = buchberger([initial_form(g, p) for g in gb.elements], order)
-    lifted = [h - normal_form(h, gb.elements, gb.heads, gb.order)
-              for h in initial.elements]
-    other_gb = interreduce(gb.n, lifted, initial.heads, order)
-    other = groebner_cone(other_gb, p, row)
+    other_gb = lift(buchberger(initial_forms(gb, p), weight_order(p, row)), gb)
+    other = groebner_cone(other_gb)
     if other == cone or not member(other, p):
         raise IncompleteFanError(
             f"no Groebner cone found across the facet with row {row}")
@@ -257,7 +245,7 @@ class MembershipMap:
         verdict = faces.get(tight)
         if verdict is None:
             verdict = faces[tight] = not contains_monomial(
-                [initial_form(g, key) for g in gb.elements], gb.n)
+                initial_forms(gb, key))
         return verdict
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from tropgen import verify
 from tropgen.fans import member
+from tropgen.poly import ParseError
 from tropgen.verify import CRITERION_NAMES, Corpus, VerifySession
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -35,6 +36,14 @@ def _run(session, number):
     if budget is not None:
         assert elapsed < budget, f"exceeded {budget}s budget: {elapsed:.1f}s"
     return result
+
+
+def test_run_rejects_an_unknown_criterion_before_running_any():
+    session = VerifySession(Corpus(CORPUS))
+    with pytest.raises(ParseError, match="no criterion 11: criteria are "
+                                         "1..10"):
+        session.run([3, 11])
+    assert session._campaign_reports == {}
 
 
 def test_criterion_01_reference_fan_structure(session):

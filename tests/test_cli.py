@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tropgen import __version__, weights
+from tropgen import __version__, cli, weights
 from tropgen.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -24,6 +24,13 @@ def run(capsys, *argv):
 # an empty grid or no trials would pass every check on nothing
 BAD_CAMPAIGN_PARAMETERS = [("--grid", "-1"), ("--trials", "0"),
                            ("--bound", "0")]
+
+
+def test_each_failure_has_one_exit_code():
+    # main picks a failure's entry by isinstance, so no class may
+    # subclass another
+    assert not [(a, b) for a in cli.FAILURES for b in cli.FAILURES
+                if a is not b and issubclass(a, b)]
 
 
 class TestDim:
@@ -154,6 +161,7 @@ class TestMember:
             calls.append(ws)
             return weight_gb(ideal, *ws)
         monkeypatch.setattr(weights, "weight_gb", counting)
+        monkeypatch.setattr(cli, "weight_gb", counting)
         f = tmp_path / "ideal"
         f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
@@ -212,6 +220,17 @@ class TestFan:
         code, out, err = run(capsys, "fan", "wn", "--n", n)
         assert code == 2 and out == ""
         assert err.startswith("error: --n must be >= 1")
+
+    @pytest.mark.parametrize("m", ["-1", "4"])
+    def test_wn_skeleton_outside_0_to_n_exit_2(self, capsys, m):
+        code, out, err = run(capsys, "fan", "wn", "--n", "3", "--skeleton", m)
+        assert (code, out) == (2, "")
+        assert err == f"error: --skeleton must be in 0..3, not {m}\n"
+
+    @pytest.mark.parametrize("m,cones", [("0", 0), ("3", 7)])
+    def test_wn_skeleton_bounds(self, capsys, m, cones):
+        code, out, _ = run(capsys, "fan", "wn", "--n", "3", "--skeleton", m)
+        assert code == 0 and f"skeleton {m}: {cones} cones" in out
 
     def test_wn_skeleton(self, capsys):
         code, out, _ = run(capsys, "fan", "wn", "--n", "4", "--skeleton", "2",

@@ -214,7 +214,7 @@ class TestCampaigns:
         mm = MembershipMap(ideal)
         identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         report = GenericityReport(
-            ideal, seed=1, trials=1, bound=1, grid_radius=2,
+            ideal, seed=1, grid_radius=2,
             transforms=(identity,), escalations=[1],
             membership={w: mm.query(w) for w in normalized_grid(3, 2)})
         ok, (w, rep) = check_symmetry(report)

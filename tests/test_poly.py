@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropgen.cli import _parse_weight
 from tropgen.linalg import QQ
 from tropgen.poly import (
     GRLEX,
@@ -18,10 +19,18 @@ from tropgen.poly import (
     parse_polynomial,
     weight_order,
 )
+from tropgen.special import parse_matrix_file
 
 
 def P(text, n):
     return parse_polynomial(text, n)
+
+
+# the grammars' characters; no fuzzed text holds ':', so only FUZZ_HEADERS,
+# whose sizes are small, make a header
+FUZZ_ALPHABET = "x0123456789^*+-/,# \n"
+FUZZ_HEADERS = ["vars: 0", "vars: 2", "vars: 3", "matrix: 0 2",
+                "matrix: 1 3", "matrix: 2 3"]
 
 
 class TestParsing:
@@ -64,6 +73,25 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             P("x1 + @", 2)
         assert err.value.position == 5
+
+    # the parsers read text from outside the program: whatever it holds,
+    # they return or raise ParseError, which the CLI turns into exit 2
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(
+        st.text().filter(lambda t: ":" not in t),
+        st.text(alphabet=FUZZ_ALPHABET),
+        st.builds("{}\n{}".format, st.sampled_from(FUZZ_HEADERS),
+                  st.text(alphabet=FUZZ_ALPHABET))),
+        n=st.integers(1, 4))
+    def test_only_parse_errors_escape(self, text, n):
+        for parse in (lambda: parse_polynomial(text, n),
+                      lambda: parse_ideal_file(text),
+                      lambda: parse_matrix_file(text),
+                      lambda: _parse_weight(text, n)):
+            try:
+                parse()
+            except ParseError:
+                pass
 
     def test_roundtrip_examples(self):
         for text in ["x1^2 + 2*x1*x2 - 3/2*x2^2", "x1 - x2", "0",
