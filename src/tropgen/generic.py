@@ -103,17 +103,17 @@ def _grid_index(n: int, radius: int) -> dict:
 
 class GridMembership(Mapping):
     """Verdicts on normalized_grid(n, radius), keyed by point in grid
-    order.  A map holds one bool per point; the points and their index
-    are shared by every map over the grid, so a report costs a tuple, not
-    a dict, of the grid's size."""
+    order.  A map holds one byte per point, 1 for a point in the variety;
+    the points and their index are shared by every map over the grid, so
+    a report costs a bytes object, not a dict, of the grid's size."""
 
-    def __init__(self, n: int, radius: int, verdicts: tuple):
+    def __init__(self, n: int, radius: int, verdicts: bytes):
         self._points = normalized_grid(n, radius)
         self._index = _grid_index(n, radius)
         self._verdicts = verdicts
 
     def __getitem__(self, w):
-        return self._verdicts[self._index[w]]
+        return bool(self._verdicts[self._index[w]])
 
     def __iter__(self):
         return iter(self._points)
@@ -178,7 +178,7 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                                  trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
             mm = MembershipMap(transform_ideal(ideal, g))
-            maps.append(tuple(mm.query(w) for w in points))
+            maps.append(bytes(mm.query(w) for w in points))
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),

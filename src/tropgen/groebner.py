@@ -21,12 +21,14 @@ denominators are cleared with numerator and denominator, no arithmetic)
 and where they leave: each element of a reduced basis is divided by its
 head coefficient once, so every MarkedGB is monic on its heads (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 7),
-with Fraction coefficients.
+with Fraction coefficients.  normal_form and lift read a MarkedGB's
+integer elements, converted once per basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -58,6 +60,12 @@ class MarkedGB:
 
     def supports(self) -> frozenset:
         return frozenset(g.support() for g in self.elements)
+
+    @cached_property
+    def integer_elements(self) -> tuple:
+        """The primitive integer elements (see _elements), converted once
+        per basis for normal_form and lift."""
+        return tuple(_elements(self.elements, self.heads))
 
 
 def _integral(p: Polynomial) -> tuple:
@@ -139,7 +147,7 @@ def normal_form(p: Polynomial, gb: MarkedGB) -> Polynomial:
     The coefficients stay integers until the remainder is divided by the
     scale that clearing denominators and reduction introduced."""
     work, d = _integral(p)
-    r, s = _reduce(work, _elements(gb.elements, gb.heads), gb.heads, gb.order)
+    r, s = _reduce(work, gb.integer_elements, gb.heads, gb.order)
     return Polynomial.from_dict(p.n, {e: QQ(c, d * s) for e, c in r.items()})
 
 
@@ -202,11 +210,10 @@ def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
     f = s*(d*h) - r lies in I with in_p(f) = s*d*h.  The f are a minimal
     Groebner basis of I for initial's order, and inter-reducing them gives
     the reduced basis, which is unique."""
-    basis = _elements(gb.elements, gb.heads)
     lifted = []
     for h, head in zip(initial.elements, initial.heads):
         f, _ = _integral(h)
-        r, s = _reduce(dict(f), basis, gb.heads, gb.order)
+        r, s = _reduce(dict(f), gb.integer_elements, gb.heads, gb.order)
         f = {e: s * c for e, c in f.items()}
         _add_shifted_tail(f, r, r.values(), (0,) * gb.n, -1)
         lifted.append(_primitive(f, head))

@@ -377,9 +377,14 @@ def read_input(path) -> str:
                          exc.start) from None
 
 
+# the most variables an ideal file may declare: far above every input the
+# engine decides, and it keeps parsing's memory bounded by the file's size
+MAX_VARS = 64
+
+
 def parse_ideal_file(text: str) -> Ideal:
-    """Ideal file: first non-comment line 'vars: n', then one generator per
-    line; '#' lines are comments."""
+    """Ideal file: first non-comment line 'vars: n' with 1 <= n <= MAX_VARS,
+    then one generator per line; '#' lines are comments."""
     n = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -391,8 +396,9 @@ def parse_ideal_file(text: str) -> Ideal:
             if m is None:
                 raise ParseError(f"line {lineno}: expected 'vars: n' header", 0)
             n = _integer(m.group(1), m.start(1))
-            if n < 1:
-                raise ParseError(f"line {lineno}: need at least one variable", 0)
+            if not 1 <= n <= MAX_VARS:
+                raise ParseError(f"line {lineno}: need 1..{MAX_VARS} "
+                                 f"variables, not {n}", 0)
             continue
         p = parse_polynomial(line, n)
         if p.is_zero:

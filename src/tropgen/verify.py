@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -92,7 +93,10 @@ ENTRY_FIELDS = (
 
 
 class Corpus:
-    """Corpus directory with its manifest of expected invariants."""
+    """Corpus directory with its manifest of expected invariants.  Each
+    entry is named by its ideal file in the directory: a name of the
+    portable file name characters (letters, digits, '.', '_', '-') that
+    starts with a letter, digit or '_', so no entry reads outside it."""
 
     def __init__(self, directory):
         self.directory = Path(directory)
@@ -101,8 +105,11 @@ class Corpus:
             raise ParseError(f"no manifest.json in {directory}", 0)
         try:
             self.manifest = json.loads(read_input(manifest_path))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad corpus manifest: {exc}", exc.pos) from None
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer too long to convert, or nesting
+            # too deep to decode
+            raise ParseError(f"bad corpus manifest: {exc}",
+                             getattr(exc, "pos", 0)) from None
         ideals = (self.manifest.get("ideals")
                   if isinstance(self.manifest, dict) else None)
         if not isinstance(ideals, dict):
@@ -111,6 +118,9 @@ class Corpus:
         if not ideals:
             raise ParseError("empty corpus manifest", 0)
         for name, entry in ideals.items():
+            if not re.fullmatch(r"[A-Za-z0-9_][A-Za-z0-9_.-]*", name):
+                raise ParseError(f"corpus manifest entry {name!r} is not a "
+                                 f"file name in the corpus directory", 0)
             if not isinstance(entry, dict):
                 raise ParseError(f"corpus manifest entry {name!r} is not an "
                                  f"object", 0)

@@ -14,9 +14,10 @@ Groebner cones, so membership is constant on each of them.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import replace
 from math import gcd
-from operator import sub
+from operator import mul, sub
 
 from .fans import Cone, Fan, make_cone, member
 from .groebner import MarkedGB, buchberger, contains_monomial, lift
@@ -211,6 +212,17 @@ class MembershipMap:
     runs at most once per maximal Groebner cone.  Rational weights raise
     TypeError (see normalize_grid_point); use in_tropical_variety for them.
 
+    Keys are first ruled out by witnesses: the exponents of known elements
+    f of I, one per generator and one per element of every basis computed.
+    If key.e is minimal at exactly one exponent e of f, then in_key(f) is
+    a monomial of in_key(I), and the key is not in T(I) (T(I) is the
+    intersection of the T(f), f in I: Maclagan and Sturmfels, Introduction
+    to Tropical Geometry, Thm 3.2.3).  Every f is homogeneous, so shifting
+    and scaling the weight, as normalizing does, keeps its minimal terms.
+    counts records each query's outcome: "witness", "stored face" (no
+    work), "new face" (one saturation) or "new basis" (one weight_gb and
+    one saturation); it is deterministic and in no JSON output.
+
     A stored basis G, reduced for an order <, answers every normalized key
     in its closed cone, where each row of G has (h - e).key <= 0
     (head_rows).  There each head h is the <-head of in_key(g), so the
@@ -227,26 +239,44 @@ class MembershipMap:
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
+        self.counts = Counter()
+        self._witnesses = _exponents(ideal.generators)  # {exponents: None}
         self._bases: list = []  # (MarkedGB, rows, {tight set: verdict})
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
+        for exps in self._witnesses:
+            dots = [sum(map(mul, key, e)) for e in exps]
+            if dots.count(min(dots)) == 1:
+                self.counts["witness"] += 1
+                return False
         for i, entry in enumerate(self._bases):
             tight = _tight_rows(entry[1], key)
             if tight is not None:
                 self._bases.insert(0, self._bases.pop(i))
+                outcome = "new face"
                 break
         else:
             gb = weight_gb(self.ideal, key)
+            self._witnesses.update(_exponents(gb.elements))
             entry = (gb, head_rows(gb), {})
             self._bases.insert(0, entry)
             tight = _tight_rows(entry[1], key)
+            outcome = "new basis"
         gb, _, faces = entry
         verdict = faces.get(tight)
         if verdict is None:
             verdict = faces[tight] = not contains_monomial(
                 initial_forms(gb, key))
+        else:
+            outcome = "stored face"
+        self.counts[outcome] += 1
         return verdict
+
+
+def _exponents(polys) -> dict:
+    """The exponent tuples of the polynomials, as an insertion-ordered set."""
+    return dict.fromkeys(tuple(e for e, _ in p.terms) for p in polys)
 
 
 def _tight_rows(rows, key):

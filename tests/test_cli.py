@@ -68,6 +68,14 @@ class TestDim:
         code, out, _ = run(capsys, "dim", str(f))
         assert code == 0 and "dim = 9" in out
 
+    def test_too_many_variables_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "wide"
+        f.write_text("vars: 1000000\nx1 + x2\n")
+        code, out, err = run(capsys, "dim", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: need 1..64 variables, "
+                              "not 1000000")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "dim", "/nonexistent/ideal")
         assert code == 2
@@ -435,10 +443,14 @@ class TestVerifyCorpus:
         '{"ideals": {"a": {"n": 2, "dim": 0, "family": null, '
         '"campaigns": ["skeleton"]}}}',
         '{"ideals": {"a": {"n": 2, "dim": 0, "family": "zero-dim", '
-        '"campaigns": ["skeleton", 1]}}}'],
+        '"campaigns": ["skeleton", 1]}}}',
+        '{"ideals": {"../corpus/point": {"n": 2, "dim": 0, '
+        '"family": "zero-dim", "campaigns": ["emptiness"]}}}',
+        '{"ideals": {"a": {"n": 2, "dim": 0, "family": "zero-dim", '
+        '"campaigns": [], "n": ' + "1" * 5000 + '}}}'],
         ids=["list", "string", "ideals-list", "entry-number",
              "campaigns-number", "no-dim", "dim-bool", "n-string",
-             "family-null", "campaign-number"])
+             "family-null", "campaign-number", "entry-path", "long-integer"])
     def test_malformed_manifest_exit_2(self, capsys, tmp_path, text):
         (tmp_path / "manifest.json").write_text(text)
         code, out, err = run(capsys, "verify-corpus", str(tmp_path))

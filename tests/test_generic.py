@@ -261,6 +261,9 @@ class TestCampaigns:
         want = {w: mm.query(w) for w in points}
         assert list(report.membership) == list(points)
         assert report.membership == want and len(report.membership) == len(want)
+        # packed one byte per point, read back as the bools JSON prints
+        assert report.membership._verdicts == bytes(want.values())
+        assert {type(v) for v in report.membership.values()} == {bool}
         assert (9, 9, 9) not in report.membership
         with pytest.raises(KeyError):
             report.membership[(9, 9, 9)]

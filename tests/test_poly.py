@@ -12,6 +12,7 @@ from tropgen.linalg import QQ
 from tropgen.poly import (
     GRLEX,
     Ideal,
+    MAX_VARS,
     ParseError,
     Polynomial,
     format_polynomial,
@@ -232,6 +233,17 @@ class TestIdeal:
     def test_ideal_file_requires_header(self):
         with pytest.raises(ParseError):
             parse_ideal_file("x1 + x2\n")
+
+    @pytest.mark.parametrize("n", [0, MAX_VARS + 1, 1_000_000])
+    def test_variable_count_is_capped(self, n):
+        # the count is checked before any term allocates n exponents
+        with pytest.raises(ParseError, match=rf"line 1: need 1\.\.64 "
+                                             rf"variables, not {n} "):
+            parse_ideal_file(f"vars: {n}\nx1 + x2\n")
+
+    def test_variable_count_at_the_cap(self):
+        ideal = parse_ideal_file(f"vars: {MAX_VARS}\nx1 + x{MAX_VARS}\n")
+        assert ideal.n == MAX_VARS == 64
 
     def test_homogeneous_degree(self):
         assert P("x1*x2 + x2^2", 2).homogeneous_degree() == 2

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgen import groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
@@ -330,13 +332,17 @@ class TestBasisReuse:
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_reused_basis_is_the_fresh_basis(self, name):
-        # the basis that answers a key, moved to the front, holds the key
-        # in its closed cone, and its initial forms generate in_key(J): the
-        # reduced basis of those forms is the fresh basis's
+        # the basis that answers a key no witness rules out, moved to the
+        # front, holds the key in its closed cone, and its initial forms
+        # generate in_key(J): the reduced basis of those forms is the fresh
+        # basis's
         J = transformed_corpus_ideal(name)
         mm = MembershipMap(J)
         for w in normalized_grid(J.n, 2):
+            ruled_out = mm.counts["witness"]
             assert mm.query(w) == in_tropical_variety(J, w), w
+            if mm.counts["witness"] > ruled_out:
+                continue
             gb, key = mm._bases[0][0], normalize_grid_point(w)
             assert all(vec_dot(key, h) <= vec_dot(key, e)
                        for g, h in zip(gb.elements, gb.heads)
@@ -352,20 +358,64 @@ class TestBasisReuse:
             return weight_gb(ideal, *ws)
 
         monkeypatch.setattr(weights, "weight_gb", counting)
-        mm = MembershipMap(I(2, "x1 + x2"))
-        # x1 + x2 is marked on x1 at (0, 1) and on x2 at (1, 0)
-        assert not mm.query((0, 1))
-        assert not mm.query((1, 0))
-        assert calls == [((0, 1),), ((1, 0),)]
+        mm = MembershipMap(I(3, "x1 + x2 + x3"))
+        # x1 + x2 + x3 is marked on x1 at (0, 0, 1) and on x2 at (1, 0, 0),
+        # and its two minimal terms keep either key from its witness
+        assert mm.query((0, 0, 1))
+        assert mm.query((1, 0, 0))
+        assert calls == [((0, 0, 1),), ((1, 0, 0),)]
+        assert mm.counts == {"new basis": 2}
+
+
+class TestWitnesses:
+    """Known elements of the ideal rule keys out before any basis work."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(CORPUS_IDEALS), seed=st.integers(0, 10**6),
+           data=st.data())
+    def test_query_is_the_direct_verdict(self, name, seed, data):
+        # random integer keys, some with their minimum attained on a drawn
+        # set of coordinates so that they can lie in T; each query's
+        # outcome is the work it did, and a key ruled out by a witness
+        # runs no weight_gb and no saturation
+        ideal = parse_ideal_file((CORPUS / name).read_text())
+        n = ideal.n
+        J = transform_ideal(ideal, random_transform(n, 20, seed))
+        draws = data.draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(-30, 30)] * n),
+            st.sets(st.integers(0, n - 1))), min_size=1, max_size=8))
+        keys = [tuple(min(w) if i in ties else x for i, x in enumerate(w))
+                for w, ties in draws]
+        wanted = [in_tropical_variety(J, w) for w in keys]
+        mm = MembershipMap(J)
+        calls = {"weight_gb": 0, "contains_monomial": 0}
+        work = {"witness": (0, 0), "stored face": (0, 0),
+                "new face": (0, 1), "new basis": (1, 1)}
+        with pytest.MonkeyPatch.context() as patch:
+            for fn in calls:
+                def counting(*args, _fn=fn, _real=getattr(weights, fn)):
+                    calls[_fn] += 1
+                    return _real(*args)
+                patch.setattr(weights, fn, counting)
+            for w, want in zip(keys, wanted):
+                counts, before = mm.counts.copy(), dict(calls)
+                assert mm.query(w) == want, (w, keys)
+                (outcome, k), = (mm.counts - counts).items()
+                assert k == 1
+                assert (calls["weight_gb"] - before["weight_gb"],
+                        calls["contains_monomial"]
+                        - before["contains_monomial"]) == work[outcome], w
+                if outcome == "witness":
+                    assert not want, w
 
 
 class TestReuseRows:
     """A stored basis answers a key from its integer rows alone."""
 
     def test_reuse_evaluates_no_term_order_key(self, monkeypatch):
-        # a lookup on a stored basis, on a stored face or on a new one,
-        # costs no TermOrder.key; the saturation test, which runs
-        # Buchberger, is not counted
+        # a witness test or a lookup on a stored basis, on a stored face or
+        # on a new one, costs no TermOrder.key; the saturation test, which
+        # runs Buchberger, is not counted
         key_calls, saturations, counting = [], [], [True]
         original_key = TermOrder.key
         saturation = weights.contains_monomial
@@ -392,20 +442,24 @@ class TestReuseRows:
         monkeypatch.setattr(TermOrder, "key", key)
         monkeypatch.setattr(weights, "contains_monomial", uncounted)
         monkeypatch.setattr(weights, "weight_gb", recording_gb)
-        mm = MembershipMap(I(3, *TestWorkCounts.TWISTED_CUBIC))
-        new_faces = stored_faces = 0
-        for w in normalized_grid(3, 2):
+        mm = MembershipMap(I(4, *TestWorkCounts.HYPERPLANE))
+        new_faces = stored_faces = ruled_out = 0
+        for w in normalized_grid(4, 2):
             before = len(key_calls), len(gb_calls), len(saturations)
             mm.query(w)
             after = len(key_calls), len(gb_calls), len(saturations)
-            if after[1] == before[1]:  # a stored basis answered
+            if after[1] == before[1]:  # a witness or a stored basis answered
                 assert after[0] == before[0], w
                 if after[2] > before[2]:
                     new_faces += 1
+                elif normalize_grid_point(w).count(0) == 1:
+                    ruled_out += 1
                 else:
                     stored_faces += 1
-        # 37 keys: 9 bases, 10 more faces on them, 18 faces met again
-        assert (len(gb_calls), new_faces, stored_faces) == (9, 10, 18)
+        # 291 keys: 220 with one minimal coordinate, ruled out by the
+        # generator; 3 bases, 9 more faces on them, 59 faces met again
+        assert (ruled_out, len(gb_calls), new_faces, stored_faces) == \
+            (220, 3, 9, 59)
 
 
 class TestWorkCounts:
@@ -413,6 +467,9 @@ class TestWorkCounts:
     weight walked."""
 
     TWISTED_CUBIC = ("x1*x3 - x2^2", "x1^2 - x2*x3")
+    # T is the keys whose minimum is attained at least twice; the
+    # generator is the witness of every other key
+    HYPERPLANE = ("x1 + x2 + x3 + x4",)
 
     @pytest.fixture
     def weight_gb_calls(self, monkeypatch):
@@ -449,39 +506,58 @@ class TestWorkCounts:
         monkeypatch.setattr(weights, "contains_monomial", counting)
         return calls
 
-    def test_membership_map_one_basis_per_miss(self, weight_gb_calls,
-                                               saturations):
-        # the 37 keys meet the 9 maximal cones of the fan, and 19 faces of
-        # them, each saturated once
-        mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
-        for w in normalized_grid(3, 2):
+    @staticmethod
+    def grid_outcomes(n, texts, saturations):
+        """The outcomes of the radius-2 grid's keys: each key the witnesses
+        leave meets a stored face, a new face of a stored basis, or a new
+        basis, and each face is saturated once."""
+        mm = MembershipMap(I(n, *texts))
+        for w in normalized_grid(n, 2):
             mm.query(w)
-        assert len(mm._bases) == len(weight_gb_calls) == 9
-        assert sum(len(faces) for _, _, faces in mm._bases) == 19
-        assert len(saturations) == 19
+        assert len(mm._bases) == mm.counts["new basis"]
+        faces = sum(len(faces) for _, _, faces in mm._bases)
+        assert faces == len(saturations) == \
+            mm.counts["new basis"] + mm.counts["new face"]
+        return mm.counts
 
-    def test_repeated_key_is_answered_by_its_cone(self, weight_gb_calls,
-                                                  saturations):
-        # w, w + c*(1,..,1) and 2w share one normalized key, whose face of
-        # the stored basis's closed cone keeps the verdict
-        mm = MembershipMap(I(3, *self.TWISTED_CUBIC))
-        for w in [(0, 1, 3), (1, 1, 2), (0, 0, 0), (2, 0, 1), (0, 0, 1)]:
+    def test_membership_map_one_basis_per_miss(self, saturations):
+        # the generators are a tropical basis: every one of the 37 keys off
+        # the lineality space has a single minimal term in one of them
+        assert self.grid_outcomes(3, self.TWISTED_CUBIC, saturations) == \
+            {"witness": 36, "new basis": 1}
+
+    def test_membership_map_meets_every_outcome(self, saturations):
+        # 291 keys: 220 with one minimal coordinate; the 71 in T meet 3
+        # maximal cones and 9 more of their faces
+        assert self.grid_outcomes(4, self.HYPERPLANE, saturations) == \
+            {"witness": 220, "new basis": 3, "new face": 9, "stored face": 59}
+
+    def test_repeated_key_is_answered_by_its_cone(self, saturations):
+        # w, w + c*(1,..,1) and 2w share one normalized key, which a
+        # witness rules out or whose face of the stored basis's closed cone
+        # keeps the verdict
+        mm = MembershipMap(I(4, *self.HYPERPLANE))
+        for w in [(0, 1, 3, 0), (1, 1, 2, 1), (0, 0, 0, 0), (2, 0, 1, 5),
+                  (0, 0, 1, 2)]:
             verdict = mm.query(w)
-            calls = len(weight_gb_calls), len(saturations)
+            before = len(saturations), mm.counts["new basis"]
             for again in (tuple(x - 2 for x in w), tuple(x + 5 for x in w),
                           tuple(2 * x for x in w)):
                 assert mm.query(again) == verdict, (w, again)
-            assert (len(weight_gb_calls), len(saturations)) == calls
+            assert (len(saturations), mm.counts["new basis"]) == before
+        # (2, 0, 1, 5) has one minimal coordinate; the other keys lie on
+        # faces of the first basis's closed cone
+        assert mm.counts == {"witness": 4, "new basis": 1, "new face": 3,
+                             "stored face": 12}
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
-    def test_membership_map_at_most_one_basis_per_cone(self, name,
-                                                       weight_gb_calls):
+    def test_membership_map_at_most_one_basis_per_cone(self, name):
         J = transformed_corpus_ideal(name)
         assert J.n <= 4
         mm = MembershipMap(J)
         for w in normalized_grid(J.n, 3):
             mm.query(w)
-        bases = len(weight_gb_calls)
+        bases = mm.counts["new basis"]
         assert bases <= len(enumerate_groebner_fan(J).cones)
 
     def test_fan_walk_probes_few_rows_with_an_equality(self, monkeypatch):
