@@ -57,7 +57,7 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8)
 
-# entry names that are not plain file names, or not file names at all
+# entry names, most of them not plain file names in the corpus directory
 NAMES = st.sampled_from(["", ".", "..", "../point", "/etc/hostname", "a/b",
                          "nul\x00", "lone\ud800", "x" * 300, "~",
                          "-h", "point", "manifest.json"]) | st.text(max_size=8)
