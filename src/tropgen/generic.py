@@ -21,6 +21,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import lcm
+from operator import add
 
 from .fans import skeleton_membership
 from .groebner import buchberger
@@ -56,26 +58,39 @@ def random_transform(n: int, bound: int, seed: int, accept=None):
 
 
 def apply_transform(p: Polynomial, g) -> Polynomial:
-    """Substitute x_i -> sum_j g[i][j] x_j."""
+    """Substitute x_i -> sum_j g[i][j] x_j (g int or rational), in integers:
+    with q and d the common denominators of g and of p's coefficients and t
+    p's top degree, x_i = L_i / q for integer linear forms L_i, and a term
+    c*x^e of degree k is (d*c) * q^(t - k) * prod_i L_i^(e_i) over d * q^t;
+    the terms are summed as integers and each coefficient divided once."""
     n = p.n
-    images = [Polynomial.from_dict(
-        n, {tuple(1 if k == j else 0 for k in range(n)): QQ(g[i][j])
-            for j in range(n) if g[i][j] != 0}) for i in range(n)]
-    power_cache = {}
-
-    def power(i, k):
-        if (i, k) not in power_cache:
-            power_cache[(i, k)] = images[i] ** k
-        return power_cache[(i, k)]
-
-    result = Polynomial.zero(n)
+    q = lcm(*(x.denominator for row in g for x in row))
+    images = [{tuple(int(j == k) for k in range(n)):
+               x.numerator * (q // x.denominator)
+               for j, x in enumerate(row) if x} for row in g]
+    d = lcm(*(c.denominator for _, c in p.terms))
+    top = max((sum(e) for e, _ in p.terms), default=0)
+    out = {}
     for e, c in p.terms:
-        term = Polynomial.constant(n, c)
+        term = {(0,) * n: c.numerator * (d // c.denominator)
+                * q ** (top - sum(e))}
         for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        result = result + term
-    return result
+            for _ in range(k):
+                term = _times(term, images[i])
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    den = d * q ** top
+    return Polynomial.from_dict(n, {m: QQ(v, den) for m, v in out.items()})
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product of two polynomials given as {exponent: integer}."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def transform_ideal(ideal: Ideal, g) -> Ideal:
@@ -178,7 +193,9 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                                  trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
             mm = MembershipMap(transform_ideal(ideal, g))
-            maps.append(bytes(mm.query(w) for w in points))
+            # points[0] is the origin, asked last: any key in T decides it
+            rest = bytes(mm.query(w) for w in points[1:])
+            maps.append(bytes((mm.query(points[0]),)) + rest)
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),

@@ -140,9 +140,14 @@ class Corpus:
         return self.manifest["ideals"][name]
 
     def ideal(self, name) -> Ideal:
+        """The entry's ideal; ParseError if its vars: n is not the entry's n."""
         if name not in self._cache:
-            self._cache[name] = parse_ideal_file(
-                read_input(self.directory / name))
+            ideal = parse_ideal_file(read_input(self.directory / name))
+            n = self.entry(name)["n"]
+            if ideal.n != n:
+                raise ParseError(f"{name} has vars: {ideal.n}, but its "
+                                 f"manifest entry has n = {n}", 0)
+            self._cache[name] = ideal
         return self._cache[name]
 
 

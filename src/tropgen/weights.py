@@ -199,8 +199,11 @@ def normalize_grid_point(w):
     """Canonical representative of an integer weight w modulo the lineality
     direction (1,..,1) and positive scaling: subtract the minimum, divide
     by the gcd.  Tropical membership of a graded ideal is invariant under
-    both.  Rational entries raise TypeError rather than being truncated."""
+    both.  Rational entries raise TypeError rather than being truncated.
+    A tuple that is already normalized is returned as it is."""
     lo = min(w)
+    if not lo and gcd(*w) <= 1 and isinstance(w, tuple):
+        return w
     shifted = tuple(x - lo for x in w)
     g = gcd(*shifted) or 1
     return tuple(x // g for x in shifted)
@@ -219,9 +222,17 @@ class MembershipMap:
     intersection of the T(f), f in I: Maclagan and Sturmfels, Introduction
     to Tropical Geometry, Thm 3.2.3).  Every f is homogeneous, so shifting
     and scaling the weight, as normalizing does, keeps its minimal terms.
-    counts records each query's outcome: "witness", "stored face" (no
-    work), "new face" (one saturation) or "new basis" (one weight_gb and
-    one saturation); it is deterministic and in no JSON output.
+    An f of degree d >= 1 with every pure power d*e_i has Newton polytope
+    d*Simplex, where key.e is minimal on the face spanned by the d*e_i with
+    key_i minimal: f has one minimal term iff the key has one minimal
+    coordinate, one 0 once normalized, an O(n) test.  Other witnesses take
+    one dot product per term.  The origin is in T(I) once any key is: a
+    monomial of I lies in every in_w(I), and in_0(I) = I.  Campaigns ask
+    for it last; failing that rule, a basis decides it (only a one-term
+    witness could).  counts records each query's outcome: "witness",
+    "nonempty" (the origin after a verdict True), "stored face" (no work),
+    "new face" (one saturation) or "new basis" (one weight_gb and one
+    saturation); it is deterministic and in no JSON output.
 
     A stored basis G, reduced for an order <, answers every normalized key
     in its closed cone, where each row of G has (h - e).key <= 0
@@ -240,16 +251,35 @@ class MembershipMap:
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.counts = Counter()
-        self._witnesses = _exponents(ideal.generators)  # {exponents: None}
+        self._simplex = False  # some witness has every pure power
+        self._witnesses = {}  # exponents of the other witnesses, as a set
+        self._add_witnesses(ideal.generators)
         self._bases: list = []  # (MarkedGB, rows, {tight set: verdict})
+
+    def _add_witnesses(self, polys):
+        for p in polys:
+            exps = tuple(e for e, _ in p.terms)
+            d = sum(exps[0])  # p is homogeneous: x^e is a pure power iff d in e
+            if d and sum(d in e for e in exps) == len(exps[0]):
+                self._simplex = True
+            else:
+                self._witnesses[exps] = None
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
-        for exps in self._witnesses:
-            dots = [sum(map(mul, key, e)) for e in exps]
-            if dots.count(min(dots)) == 1:
-                self.counts["witness"] += 1
-                return False
+        if not any(key):
+            if any(True in faces.values() for _, _, faces in self._bases):
+                self.counts["nonempty"] += 1
+                return True
+        elif self._simplex and key.count(0) == 1:
+            self.counts["witness"] += 1
+            return False
+        else:
+            for exps in self._witnesses:
+                dots = [sum(map(mul, key, e)) for e in exps]
+                if dots.count(min(dots)) == 1:
+                    self.counts["witness"] += 1
+                    return False
         for i, entry in enumerate(self._bases):
             tight = _tight_rows(entry[1], key)
             if tight is not None:
@@ -258,7 +288,7 @@ class MembershipMap:
                 break
         else:
             gb = weight_gb(self.ideal, key)
-            self._witnesses.update(_exponents(gb.elements))
+            self._add_witnesses(gb.elements)
             entry = (gb, head_rows(gb), {})
             self._bases.insert(0, entry)
             tight = _tight_rows(entry[1], key)
@@ -272,11 +302,6 @@ class MembershipMap:
             outcome = "stored face"
         self.counts[outcome] += 1
         return verdict
-
-
-def _exponents(polys) -> dict:
-    """The exponent tuples of the polynomials, as an insertion-ordered set."""
-    return dict.fromkeys(tuple(e for e, _ in p.terms) for p in polys)
 
 
 def _tight_rows(rows, key):

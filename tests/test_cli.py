@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -497,6 +498,18 @@ class TestVerifyCorpus:
                            "--criteria", "2", "--trials", "1", "--grid", "1")
         assert code == 1
         assert "FAIL" in out and "hypersurface_n3" in out
+
+    def test_entry_n_must_match_the_ideal_file(self, capsys, tmp_path):
+        # a copy of the corpus whose hypersurface_n3 entry says n = 7
+        shutil.copytree(CORPUS, tmp_path, dirs_exist_ok=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["ideals"]["hypersurface_n3"]["n"] = 7
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "verify-corpus", str(tmp_path),
+                             "--criteria", "2,3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: hypersurface_n3 has vars: 3") and \
+            "n = 7" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

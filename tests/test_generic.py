@@ -3,6 +3,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropgen import generic
 from tropgen.fans import skeleton_membership
@@ -22,7 +24,7 @@ from tropgen.generic import (
 )
 from tropgen.groebner import buchberger, krull_dimension
 from tropgen.linalg import QQ
-from tropgen.poly import GRLEX, Ideal, parse_polynomial
+from tropgen.poly import GRLEX, Ideal, Polynomial, parse_polynomial
 from tropgen.weights import MembershipMap
 
 from test_fans import leibniz_det
@@ -40,6 +42,29 @@ def mat_inverse(g):
     return tuple(tuple((-1) ** (i + j) * leibniz_det([
         [g[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
         / d for j in range(n)) for i in range(n))
+
+
+def substitute(p, g):
+    """Reference substitution x_i -> sum_j g[i][j] x_j by Polynomial
+    arithmetic."""
+    n = p.n
+    images = [Polynomial.from_dict(
+        n, {tuple(int(k == j) for k in range(n)): QQ(g[i][j])
+            for j in range(n) if g[i][j]}) for i in range(n)]
+    result = Polynomial.zero(n)
+    for e, c in p.terms:
+        term = Polynomial.constant(n, c)
+        for i, k in enumerate(e):
+            term = term * images[i] ** k
+        result = result + term
+    return result
+
+
+def exponents(n, low, high):
+    """Exponent tuples in n variables of degree low..high, drawn as the
+    variables of their factors."""
+    return st.lists(st.integers(0, n - 1), min_size=low, max_size=high).map(
+        lambda factors: tuple(factors.count(i) for i in range(n)))
 
 
 def I(n, *texts):
@@ -139,6 +164,34 @@ class TestApplyTransform:
             assert krull_dimension(transform_ideal(ideal, g)) == \
                 krull_dimension(ideal)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_integer_substitution_is_the_polynomial_one(self, data):
+        # rational coefficients, terms of degrees 1-4 in up to 4 variables,
+        # and matrices with zero, negative and rational entries
+        n = data.draw(st.integers(1, 4))
+        exps = exponents(n, 1, 4)
+        coeffs = st.fractions(-20, 20, max_denominator=12).filter(bool)
+        p = Polynomial.from_dict(n, data.draw(st.dictionaries(
+            exps, coeffs, min_size=1, max_size=6)))
+        entry = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=5)
+        g = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n)
+                               .map(tuple), min_size=n, max_size=n).map(tuple))
+        assert apply_transform(p, g) == substitute(p, g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 10**6),
+           data=st.data())
+    def test_inverse_undoes_the_transform(self, n, seed, data):
+        exps = exponents(n, 3, 3)
+        coeffs = st.fractions(-9, 9, max_denominator=4).filter(bool)
+        ideal = Ideal.of(n, [Polynomial.from_dict(n, d) for d in data.draw(
+            st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=4),
+                     min_size=1, max_size=3))])
+        g = random_transform(n, 5, seed)
+        assert transform_ideal(transform_ideal(ideal, g), mat_inverse(g)) \
+            == ideal
+
     def test_homogeneity_preserved(self):
         f = P("x1^2*x2 + x2^2*x3", 3)
         g = random_transform(3, 5, 2)
@@ -221,6 +274,24 @@ class TestCampaigns:
         assert ok is False
         assert rep == tuple(sorted(w))
         assert report.membership[w] != report.membership[rep]
+
+    def test_origin_is_asked_last(self, monkeypatch):
+        # each trial's map asks every other grid key before the origin, and
+        # the report keeps grid order
+        asked = []
+        query = MembershipMap.query
+
+        def recording(self, w):
+            asked.append(w)
+            return query(self, w)
+
+        monkeypatch.setattr(MembershipMap, "query", recording)
+        report = generic_membership_map(I(3, "x1 + x2 + x3"), grid_radius=1,
+                                        trials=2, bound=10, seed=1)
+        points = normalized_grid(3, 1)
+        assert asked == 2 * (list(points[1:]) + [points[0]])
+        assert list(report.membership) == list(points)
+        assert report.membership[(0, 0, 0)]
 
     @pytest.mark.parametrize("kwargs", [dict(grid_radius=-1),
                                         dict(trials=0), dict(bound=0)])

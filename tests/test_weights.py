@@ -1,5 +1,6 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,7 +390,7 @@ class TestWitnesses:
         wanted = [in_tropical_variety(J, w) for w in keys]
         mm = MembershipMap(J)
         calls = {"weight_gb": 0, "contains_monomial": 0}
-        work = {"witness": (0, 0), "stored face": (0, 0),
+        work = {"witness": (0, 0), "nonempty": (0, 0), "stored face": (0, 0),
                 "new face": (0, 1), "new basis": (1, 1)}
         with pytest.MonkeyPatch.context() as patch:
             for fn in calls:
@@ -407,6 +408,89 @@ class TestWitnesses:
                         - before["contains_monomial"]) == work[outcome], w
                 if outcome == "witness":
                     assert not want, w
+                if outcome == "nonempty":
+                    assert not any(normalize_grid_point(w)) and any(wanted), w
+
+
+def campaign_ideals():
+    manifest = json.loads((CORPUS / "manifest.json").read_text())["ideals"]
+    return sorted(name for name, entry in manifest.items()
+                  if {"skeleton", "emptiness"} & set(entry["campaigns"]))
+
+
+class TestOriginAndPurePowers:
+    """The origin is settled by any key in T, and witnesses with every
+    pure power rule keys out by counting minimal coordinates."""
+
+    @pytest.mark.parametrize("name", campaign_ideals())
+    def test_origin_last_keeps_every_verdict(self, name, monkeypatch):
+        # the campaign's seed-1, trial-0 map of g(I), asked with the origin
+        # last, against the map asked in plain grid order and against the
+        # direct verdict at the origin and at every key in T
+        J = transformed_corpus_ideal(name)
+        points = normalized_grid(J.n, 3)
+        assert not any(points[0])
+        plain = MembershipMap(J)
+        want = [plain.query(w) for w in points]
+        calls = []
+        for fn in ("weight_gb", "contains_monomial"):
+            def counting(*args, _fn=fn, _real=getattr(weights, fn)):
+                calls.append(_fn)
+                return _real(*args)
+            monkeypatch.setattr(weights, fn, counting)
+        mm = MembershipMap(J)
+        got = [mm.query(w) for w in points[1:]]
+        del calls[:]
+        counts = mm.counts.copy()
+        got.insert(0, mm.query(points[0]))
+        origin_work = list(calls)
+        assert got == want
+        assert want[0] == in_tropical_variety(J, points[0])
+        assert all(in_tropical_variety(J, w)
+                   for w, v in zip(points, want) if v)
+        # no basis and no saturation exactly when another key is in T;
+        # otherwise a face of a basis decides it: point_n3's basis is x1,
+        # x2, x3, whose one face was saturated at an earlier key
+        (outcome, _), = (mm.counts - counts).items()
+        assert (outcome == "nonempty") == any(want[1:])
+        if outcome == "nonempty":
+            assert origin_work == []
+        else:
+            assert outcome in ("stored face", "new face", "new basis")
+        if name == "coordinate_lines_n3":
+            assert "contains_monomial" in origin_work
+        if name == "point_n3":
+            assert outcome == "stored face"
+
+    def test_pure_power_witness_needs_no_dot_product(self, monkeypatch):
+        # x1 + x2 + x3 + x4 has every pure power: a key with one minimal
+        # coordinate is ruled out without one product of key and exponent
+        products = []
+
+        def counting(a, b):
+            products.append((a, b))
+            return a * b
+
+        monkeypatch.setattr(weights, "mul", counting)
+        mm = MembershipMap(I(4, *TestWorkCounts.HYPERPLANE))
+        assert not mm.query((3, 1, 4, 2))
+        assert mm.counts == {"witness": 1} and products == []
+
+    def test_missing_pure_power_takes_the_dot_test(self):
+        # x1^2 + x2^2 lacks x3^2: at (1, 1, 0) the minimal coordinate is
+        # unique, but its two terms tie, so the key is in T
+        ideal = I(3, "x1^2 + x2^2")
+        mm = MembershipMap(ideal)
+        assert mm.query((1, 1, 0)) and in_tropical_variety(ideal, (1, 1, 0))
+        assert not mm.query((0, 1, 2))
+        assert mm.counts["witness"] == 1
+
+    def test_normalized_key_is_returned_as_it_is(self):
+        key = (0, 2, 3)
+        assert normalize_grid_point(key) is key
+        assert normalize_grid_point((0, 0, 0)) == (0, 0, 0)
+        assert normalize_grid_point((0, 2, 4)) == (0, 1, 2)
+        assert normalize_grid_point([0, 1, 2]) == (0, 1, 2)
 
 
 class TestReuseRows:
@@ -545,10 +629,11 @@ class TestWorkCounts:
                           tuple(2 * x for x in w)):
                 assert mm.query(again) == verdict, (w, again)
             assert (len(saturations), mm.counts["new basis"]) == before
-        # (2, 0, 1, 5) has one minimal coordinate; the other keys lie on
-        # faces of the first basis's closed cone
-        assert mm.counts == {"witness": 4, "new basis": 1, "new face": 3,
-                             "stored face": 12}
+        # (2, 0, 1, 5) has one minimal coordinate; the origin follows keys
+        # in T, which settle it; the other keys lie on faces of the first
+        # basis's closed cone
+        assert mm.counts == {"witness": 4, "nonempty": 4, "new basis": 1,
+                             "new face": 2, "stored face": 9}
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_membership_map_at_most_one_basis_per_cone(self, name):
