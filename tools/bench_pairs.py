@@ -21,7 +21,7 @@ seed-S ``campaign`` pass does on each side: ``weight_gb`` calls,
 saturations (``contains_monomial`` calls), those made while the grid's
 origin was asked, and the outcomes of ``MembershipMap.counts``.
 
-The file is rewritten after every pair, so an interrupted session keeps
+The file is rewritten after every pair, so an interrupted run keeps
 the pairs it finished.  Standard library only.
 """
 
@@ -156,28 +156,27 @@ def summarize(runs, metrics):
     """Per workload: a metric_summary per (name, better) of `metrics`,
     the pass counts, failed ops, correctness and whether the two sides'
     pass-0 digests matched in every pair."""
-    by_pair = {}
+    by_seed = {}
     for run in runs:
-        by_pair.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run
+        by_seed.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run
+    pairs = {}
+    for (workload, _), sides in by_seed.items():
+        if set(sides) == {"parent", "change"}:
+            pairs.setdefault(workload, []).append((sides["parent"], sides["change"]))
     summary = {}
-    for (workload, _), sides in by_pair.items():
-        if set(sides) != {"parent", "change"}:
-            continue
-        out = summary.setdefault(workload, {"_pairs": []})
-        out["_pairs"].append((sides["parent"], sides["change"]))
-    for workload, out in summary.items():
-        pairs = out.pop("_pairs")
-        for name, better in metrics:
-            out[name] = metric_summary(
-                [tuple(r["result"]["metrics"][name]["value"] for r in pair)
-                 for pair in pairs], better)
-        out["passes"] = {side: sorted(pair[i]["stamp"]["passes"] for pair in pairs)
-                         for i, side in enumerate(("parent", "change"))}
-        out["failed_ops"] = {side: sum(pair[i]["result"]["failed"] for pair in pairs)
-                             for i, side in enumerate(("parent", "change"))}
-        out["correct"] = all(r["result"]["correct"] for pair in pairs for r in pair)
+    for workload, ps in pairs.items():
+        out = summary[workload] = {
+            name: metric_summary([tuple(r["result"]["metrics"][name]["value"]
+                                        for r in pair) for pair in ps], better)
+            for name, better in metrics}
+        sides = ("parent", "change")
+        out["passes"] = {side: sorted(pair[i]["stamp"]["passes"] for pair in ps)
+                         for i, side in enumerate(sides)}
+        out["failed_ops"] = {side: sum(pair[i]["result"]["failed"] for pair in ps)
+                             for i, side in enumerate(sides)}
+        out["correct"] = all(r["result"]["correct"] for pair in ps for r in pair)
         out["digests_match"] = all(p["stamp"]["digest_pass0"] == c["stamp"]["digest_pass0"]
-                                   for p, c in pairs)
+                                   for p, c in ps)
     return summary
 
 
