@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import lcm
-from operator import add
 
 from .fans import skeleton_membership
-from .groebner import buchberger
+from .groebner import _integral, buchberger
 from .linalg import QQ, rank
-from .poly import GRLEX, Ideal, Polynomial, TermOrder
+from .poly import GRLEX, Ideal, Polynomial, TermOrder, monomial_mul
 from .weights import MembershipMap, in_tropical_variety, normalize_grid_point
 
 
@@ -68,12 +67,11 @@ def apply_transform(p: Polynomial, g) -> Polynomial:
     images = [{tuple(int(j == k) for k in range(n)):
                x.numerator * (q // x.denominator)
                for j, x in enumerate(row) if x} for row in g]
-    d = lcm(*(c.denominator for _, c in p.terms))
-    top = max((sum(e) for e, _ in p.terms), default=0)
+    coeffs, d = _integral(p)
+    top = max(map(sum, coeffs), default=0)
     out = {}
-    for e, c in p.terms:
-        term = {(0,) * n: c.numerator * (d // c.denominator)
-                * q ** (top - sum(e))}
+    for e, c in coeffs.items():
+        term = {(0,) * n: c * q ** (top - sum(e))}
         for i, k in enumerate(e):
             for _ in range(k):
                 term = _times(term, images[i])
@@ -88,7 +86,7 @@ def _times(a: dict, b: dict) -> dict:
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = monomial_mul(e1, e2)
             out[e] = out.get(e, 0) + c1 * c2
     return out
 
@@ -193,9 +191,10 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                                  trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
             mm = MembershipMap(transform_ideal(ideal, g))
-            # points[0] is the origin, asked last: any key in T decides it
+            # points[0] is the origin: a monomial of I would lie in every
+            # in_w(I), and in_0(I) = I, so any other key in T puts it in T
             rest = bytes(mm.query(w) for w in points[1:])
-            maps.append(bytes((mm.query(points[0]),)) + rest)
+            maps.append(bytes((any(rest) or mm.query(points[0]),)) + rest)
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),

@@ -226,13 +226,10 @@ class MembershipMap:
     d*Simplex, where key.e is minimal on the face spanned by the d*e_i with
     key_i minimal: f has one minimal term iff the key has one minimal
     coordinate, one 0 once normalized, an O(n) test.  Other witnesses take
-    one dot product per term.  The origin is in T(I) once any key is: a
-    monomial of I lies in every in_w(I), and in_0(I) = I.  Campaigns ask
-    for it last; failing that rule, a basis decides it (only a one-term
-    witness could).  counts records each query's outcome: "witness",
-    "nonempty" (the origin after a verdict True), "stored face" (no work),
-    "new face" (one saturation) or "new basis" (one weight_gb and one
-    saturation); it is deterministic and in no JSON output.
+    one dot product per term.  counts records each query's outcome:
+    "witness", "stored face" (no work), "new face" (one saturation) or
+    "new basis" (one weight_gb and one saturation); it is deterministic
+    and in no JSON output.
 
     A stored basis G, reduced for an order <, answers every normalized key
     in its closed cone, where each row of G has (h - e).key <= 0
@@ -267,11 +264,7 @@ class MembershipMap:
 
     def query(self, w) -> bool:
         key = normalize_grid_point(w)
-        if not any(key):
-            if any(True in faces.values() for _, _, faces in self._bases):
-                self.counts["nonempty"] += 1
-                return True
-        elif self._simplex and key.count(0) == 1:
+        if self._simplex and key.count(0) == 1:
             self.counts["witness"] += 1
             return False
         else:

@@ -80,6 +80,13 @@ def test_claim_rule(change, met):
     assert c["pairs"] == 10
 
 
+def test_claim_needs_ten_pairs():
+    # 3 wins in 3 pairs, far apart, is too few pairs to meet the rule
+    summary = bench_pairs.summarize(canned(PARENT[:3], [150] * 3), METRICS)
+    c = bench_pairs.claim(summary, "campaign", "ops_per_s")
+    assert (c["pairs"], c["change_wins"], c["met"]) == (3, 3, False)
+
+
 def test_claim_on_a_lower_is_better_metric():
     runs = []
     for seed, p in enumerate(PARENT):

@@ -275,9 +275,12 @@ class TestCampaigns:
         assert rep == tuple(sorted(w))
         assert report.membership[w] != report.membership[rep]
 
-    def test_origin_is_asked_last(self, monkeypatch):
-        # each trial's map asks every other grid key before the origin, and
-        # the report keeps grid order
+    @pytest.mark.parametrize("texts, origin_asked", [
+        (("x1 + x2 + x3",), False), (("x1", "x2", "x3"), True)])
+    def test_origin_is_asked_last_if_at_all(self, texts, origin_asked,
+                                             monkeypatch):
+        # each trial's map asks every other grid key first, and the origin
+        # only when none of them is in T; the report keeps grid order
         asked = []
         query = MembershipMap.query
 
@@ -286,12 +289,12 @@ class TestCampaigns:
             return query(self, w)
 
         monkeypatch.setattr(MembershipMap, "query", recording)
-        report = generic_membership_map(I(3, "x1 + x2 + x3"), grid_radius=1,
+        report = generic_membership_map(I(3, *texts), grid_radius=1,
                                         trials=2, bound=10, seed=1)
         points = normalized_grid(3, 1)
-        assert asked == 2 * (list(points[1:]) + [points[0]])
+        assert asked == 2 * (list(points[1:]) + [points[0]] * origin_asked)
         assert list(report.membership) == list(points)
-        assert report.membership[(0, 0, 0)]
+        assert report.membership[(0, 0, 0)] != origin_asked
 
     @pytest.mark.parametrize("kwargs", [dict(grid_radius=-1),
                                         dict(trials=0), dict(bound=0)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tropgen import groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
 from tropgen.generic import (
+    generic_membership_map,
     normalized_grid,
     random_transform,
     transform_ideal,
@@ -390,7 +391,7 @@ class TestWitnesses:
         wanted = [in_tropical_variety(J, w) for w in keys]
         mm = MembershipMap(J)
         calls = {"weight_gb": 0, "contains_monomial": 0}
-        work = {"witness": (0, 0), "nonempty": (0, 0), "stored face": (0, 0),
+        work = {"witness": (0, 0), "stored face": (0, 0),
                 "new face": (0, 1), "new basis": (1, 1)}
         with pytest.MonkeyPatch.context() as patch:
             for fn in calls:
@@ -408,8 +409,6 @@ class TestWitnesses:
                         - before["contains_monomial"]) == work[outcome], w
                 if outcome == "witness":
                     assert not want, w
-                if outcome == "nonempty":
-                    assert not any(normalize_grid_point(w)), w
 
 
 def campaign_ideals():
@@ -419,48 +418,55 @@ def campaign_ideals():
 
 
 class TestOriginAndPurePowers:
-    """The origin is settled by any key in T, and witnesses with every
-    pure power rule keys out by counting minimal coordinates."""
+    """A campaign puts the origin in T once any other key is, and witnesses
+    with every pure power rule keys out by counting minimal coordinates."""
 
     @pytest.mark.parametrize("name", campaign_ideals())
-    def test_origin_last_keeps_every_verdict(self, name, monkeypatch):
-        # the campaign's seed-1, trial-0 map of g(I), asked with the origin
-        # last, against the map asked in plain grid order and against the
-        # direct verdict at the origin and at every key in T
+    def test_origin_rule_keeps_every_verdict(self, name, monkeypatch):
+        # the campaign's seed-1, trial-0 map of g(I) against the map asked
+        # in plain grid order and against the direct verdict at the origin
+        # and at every key in T
         J = transformed_corpus_ideal(name)
         points = normalized_grid(J.n, 3)
         assert not any(points[0])
         plain = MembershipMap(J)
         want = [plain.query(w) for w in points]
-        calls = []
+        asked, origin_work, at_origin = [], [], [False]
         for fn in ("weight_gb", "contains_monomial"):
             def counting(*args, _fn=fn, _real=getattr(weights, fn)):
-                calls.append(_fn)
+                if at_origin[0]:
+                    origin_work.append(_fn)
                 return _real(*args)
             monkeypatch.setattr(weights, fn, counting)
-        mm = MembershipMap(J)
-        got = [mm.query(w) for w in points[1:]]
-        del calls[:]
-        counts = mm.counts.copy()
-        got.insert(0, mm.query(points[0]))
-        origin_work = list(calls)
-        assert got == want
+        query = MembershipMap.query
+
+        def recording(self, w):
+            asked.append(w)
+            at_origin[0] = not any(w)
+            try:
+                return query(self, w)
+            finally:
+                at_origin[0] = False
+
+        monkeypatch.setattr(MembershipMap, "query", recording)
+        report = generic_membership_map(
+            parse_ideal_file((CORPUS / name).read_text()), trials=1, seed=1)
+        assert report.transforms[0] == random_transform(J.n, 50,
+                                                        trial_seed(1, 0))
+        assert [report.membership[w] for w in points] == want
         assert want[0] == in_tropical_variety(J, points[0])
         assert all(in_tropical_variety(J, w)
                    for w, v in zip(points, want) if v)
-        # no basis and no saturation exactly when another key is in T;
-        # otherwise a face of a basis decides it: point_n3's basis is x1,
-        # x2, x3, whose one face was saturated at an earlier key
-        (outcome, _), = (mm.counts - counts).items()
-        assert (outcome == "nonempty") == any(want[1:])
-        if outcome == "nonempty":
-            assert origin_work == []
-        else:
-            assert outcome in ("stored face", "new face", "new basis")
+        # the map is asked for the origin, after every other key, exactly
+        # when no other key is in T; otherwise the origin costs no basis and
+        # no saturation
+        origin_asked = not any(want[1:])
+        assert asked == list(points[1:]) + [points[0]] * origin_asked
         if name == "coordinate_lines_n3":
-            assert "contains_monomial" in origin_work
+            assert origin_asked and "contains_monomial" in origin_work
         if name == "point_n3":
-            assert outcome == "stored face"
+            # its basis x1, x2, x3 has one face, saturated at an earlier key
+            assert origin_asked and origin_work == []
 
     def test_pure_power_witness_needs_no_dot_product(self, monkeypatch):
         # x1 + x2 + x3 + x4 has every pure power: a key with one minimal
@@ -629,11 +635,10 @@ class TestWorkCounts:
                           tuple(2 * x for x in w)):
                 assert mm.query(again) == verdict, (w, again)
             assert (len(saturations), mm.counts["new basis"]) == before
-        # (2, 0, 1, 5) has one minimal coordinate; the origin follows keys
-        # in T, which settle it; the other keys lie on faces of the first
-        # basis's closed cone
-        assert mm.counts == {"witness": 4, "nonempty": 4, "new basis": 1,
-                             "new face": 2, "stored face": 9}
+        # (2, 0, 1, 5) has one minimal coordinate; the other keys lie on
+        # faces of the first basis's closed cone
+        assert mm.counts == {"witness": 4, "new basis": 1, "new face": 3,
+                             "stored face": 12}
 
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_membership_map_at_most_one_basis_per_cone(self, name):

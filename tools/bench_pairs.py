@@ -2,22 +2,23 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
         --pairs campaign:5101-5110 --pairs member:5201-5210 \
-        --seconds 35 --claim campaign:ops_per_s \
-        --counts-seed 1 --describe "what the change does" --out BENCH.json
+        --claim campaign:ops_per_s \
+        --describe "what the change does" --out BENCH.json
 
 Each checkout runs its own, unchanged ``perfbench/run.py`` (``--trace 0``)
-in a fresh process, one run at a time.  For every seed of ``--pairs`` the
+in a fresh process, one run at a time, for the ``run_seconds`` of the
+change's BENCHMARK.json.  For every seed of ``--pairs`` the
 two sides run once each; the parent runs first on even pair indices and
 the change first on odd ones.  Each run keeps its stamp line (with the
 pass count and output digest) and its final JSON line.
 
 The output holds ``runs``, a ``summary`` per workload (per end-to-end
 metric of the change's BENCHMARK.json: wins of the change, each side's
-median and quartiles, the ratio of medians) and the ``claim``: the change
-wins at least 9 of 10 pairs, ties counting for neither, and the medians
-differ, in the better direction, by more than the distance between the
-parent's quartiles.  With ``--counts-seed S`` it also holds the work one
-seed-S ``campaign`` pass does on each side: ``weight_gb`` calls,
+median and quartiles, the ratio of medians) and the ``claim``: over at
+least 10 pairs, the change wins at least 9 in 10, ties counting for
+neither, and the medians differ, in the better direction, by more than
+the distance between the parent's quartiles.  It also holds the work one
+seed-1 ``campaign`` pass does on each side: ``weight_gb`` calls,
 saturations (``contains_monomial`` calls), those made while the grid's
 origin was asked, and the outcomes of ``MembershipMap.counts``.
 
@@ -39,8 +40,9 @@ from pathlib import Path
 
 RULE = ("change better in at least 9 of 10 pairs, and medians differ by "
         "more than the parent's interquartile distance")
+MIN_PAIRS = 10
 
-# Counts one seed-S campaign pass of the checkout given as argv[1], through
+# Counts one seed-1 campaign pass of the checkout given as argv[1], through
 # the names the package's own modules call.
 COUNT_PASS = r"""
 import importlib, json, sys
@@ -49,7 +51,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
 
-root, seed = Path(sys.argv[1]), int(sys.argv[2])
+root = Path(sys.argv[1])
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from workloads import WORKLOADS
 
@@ -80,7 +82,7 @@ def query(self, w):
 
 weights.MembershipMap.query = query
 campaign = WORKLOADS["campaign"]
-inputs = campaign.build(m, seed)
+inputs = campaign.build(m, 1)
 campaign.run_pass(m, inputs, 0, lambda label: nullcontext(), lambda: 0.0)
 outcomes = Counter()
 for mm in maps.values():
@@ -115,11 +117,10 @@ def run_once(checkout, workload, seed, seconds):
     return {"elapsed_s": elapsed, "stamp": stamp, "result": json.loads(lines[-1])}
 
 
-def pass_counts(checkout, seed):
-    """The work of one seed-`seed` campaign pass in `checkout`."""
-    proc = subprocess.run([sys.executable, "-c", COUNT_PASS, str(checkout),
-                           str(seed)], capture_output=True, text=True,
-                          check=True)
+def pass_counts(checkout):
+    """The work of one seed-1 campaign pass in `checkout`."""
+    proc = subprocess.run([sys.executable, "-c", COUNT_PASS, str(checkout)],
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -190,7 +191,8 @@ def claim(summary, workload, metric):
     return {
         "workload": workload,
         "metric": metric,
-        "met": 10 * s["change_wins"] >= 9 * s["pairs"] and gap > hi - lo,
+        "met": (s["pairs"] >= MIN_PAIRS and gap > hi - lo
+                and 10 * s["change_wins"] >= 9 * s["pairs"]),
         "rule": RULE,
         "change_wins": s["change_wins"],
         "pairs": s["pairs"],
@@ -212,31 +214,29 @@ def main(argv=None):
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--pairs", action="append", type=seed_range, default=[],
                         metavar="WORKLOAD:FIRST-LAST")
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--counts-seed", type=int)
     parser.add_argument("--describe", default="")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
     doc = {
         "change": args.describe,
         "parent_commit": git_head(args.parent),
         "change_commit": git_head(args.change),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "method": (f"python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0 in each checkout, one run at a "
+                   f"{seconds:g} --trace 0 in each checkout, one run at a "
                    f"time; per seed one pair, the parent first on even pair "
                    f"indices; quartiles are statistics.quantiles(n=4); written "
                    f"by tools/bench_pairs.py"),
         "seeds": {w: seeds for w, seeds in args.pairs},
     }
-    if args.counts_seed is not None:
-        doc[f"campaign_pass_counts_seed{args.counts_seed}"] = {
-            side: pass_counts(path, args.counts_seed)
-            for side, path in (("parent", args.parent), ("change", args.change))}
+    doc["campaign_pass_counts_seed1"] = {
+        side: pass_counts(path)
+        for side, path in (("parent", args.parent), ("change", args.change))}
     runs = []
 
     def write():
@@ -255,7 +255,7 @@ def main(argv=None):
             if k % 2:
                 sides.reverse()
             for i, (side, checkout) in enumerate(sides):
-                run = run_once(checkout, workload, seed, args.seconds)
+                run = run_once(checkout, workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "ran_first": i == 0, **run})
                 if "rational_backend" not in doc["machine"]:
