@@ -465,7 +465,7 @@ class TestOriginAndPurePowers:
         if name == "coordinate_lines_n3":
             assert origin_asked and "contains_monomial" in origin_work
         if name == "point_n3":
-            # its basis x1, x2, x3 has one face, saturated at an earlier key
+            # its stored basis x1, x2, x3 holds one-term witnesses
             assert origin_asked and origin_work == []
 
     def test_pure_power_witness_needs_no_dot_product(self, monkeypatch):
