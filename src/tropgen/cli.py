@@ -10,7 +10,7 @@ TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
 --bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
 --criteria number outside 1..10, a matrix without 1 <= r <= n - 1
 independent rows, an input file that is not UTF-8, an integer literal
-longer than Python converts), 3 improper
+longer than Python converts, an --out path that cannot be written), 3 improper
 ideal (contains a unit) or, for linear -w, a matrix that fails the closed
 form's genericity condition (a vanishing right-block entry or maximal
 minor), 4 persistent transform disagreement or no suitable random
@@ -71,6 +71,11 @@ from .weights import (
     weight_gb,
 )
 
+
+class OutputError(Exception):
+    """The --out file could not be written."""
+
+
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
@@ -82,6 +87,7 @@ EXIT_BUDGET = 5
 FAILURES = {
     ParseError: (EXIT_PARSE, ""),
     BudgetSettingError: (EXIT_PARSE, ""),
+    OutputError: (EXIT_PARSE, ""),
     ImproperIdealError: (EXIT_IMPROPER, ""),
     NonGenericMatrixError: (EXIT_IMPROPER, ""),
     DisagreementError: (EXIT_DISAGREE, ""),
@@ -173,8 +179,11 @@ def _parse_weight(text, n):
 def _emit(args, jsonable, text_lines):
     out = dumps_canonical(jsonable) if args.json else "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise OutputError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(out)
 

@@ -114,6 +114,15 @@ def _grid_index(n: int, radius: int) -> dict:
     return {w: i for i, w in enumerate(normalized_grid(n, radius))}
 
 
+@cache
+def _several_zeros(n: int, radius: int) -> tuple:
+    """Indices of the keys of normalized_grid(n, radius), the origin aside,
+    with more than one 0: the keys a map with a pure-power witness does not
+    rule out (see MembershipMap)."""
+    points = normalized_grid(n, radius)
+    return tuple(i for i in range(1, len(points)) if points[i].count(0) > 1)
+
+
 class GridMembership(Mapping):
     """Verdicts on normalized_grid(n, radius), keyed by point in grid
     order.  A map holds one byte per point, 1 for a point in the variety;
@@ -191,10 +200,18 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
                                  trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
             mm = MembershipMap(transform_ideal(ideal, g))
+            asked = range(1, len(points))
+            if mm.pure_power_witness:
+                # the keys with one 0 are out, with no query each
+                asked = _several_zeros(n, grid_radius)
+                mm.counts["witness"] += len(points) - 1 - len(asked)
+            verdicts = bytearray(len(points))
+            for i in asked:
+                verdicts[i] = mm.query(points[i])
             # points[0] is the origin: a monomial of I would lie in every
             # in_w(I), and in_0(I) = I, so any other key in T puts it in T
-            rest = bytes(mm.query(w) for w in points[1:])
-            maps.append(bytes((any(rest) or mm.query(points[0]),)) + rest)
+            verdicts[0] = any(verdicts) or mm.query(points[0])
+            maps.append(bytes(verdicts))
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),

@@ -248,25 +248,35 @@ def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
 def contains_monomial(generators) -> bool:
     """True iff the homogeneous ideal J the generators span contains a
     monomial, which holds iff its saturation by xn, ..., x1 in turn is 1.
-    Each step is Bayer and Stillman's: the reduced basis G of a homogeneous
-    K under weight_order(e_i) is homogeneous, and each head has the fewest
-    x_i of its terms, so x_i^k divides the head iff it divides the element.
-    Dividing out these largest powers gives a Groebner basis of K : x_i^inf:
-    for homogeneous f with x_i^k f in K, a head of G divides x_i^k head(f),
-    and its quotient's head is free of x_i, so it divides head(f).  A
-    single-term element of a saturation has a multiple in J, and a unit
-    last saturation has a homogeneous element with head 1."""
-    basis = list(generators)
-    n = basis[0].n
+    Saturating keeps "contains a monomial": a single-term element of a
+    saturation has a multiple in J.  So a round may answer early: a
+    principal ideal (g) contains a monomial iff g is one, since k[x] is a
+    UFD.  A round whose generators are x_i-homogeneous, each x_i^a_j h_j
+    with h_j free of x_i, runs no Buchberger: their ideal K is graded by
+    x_i-degree, and for x_i-homogeneous f = x_i^d p with x_i^k f = sum of
+    c_j x_i^a_j h_j, setting x_i = 1 puts p, so f, in (h_j); hence
+    K : x_i^inf = (h_j).  Other rounds are Bayer and Stillman's: the reduced
+    basis G of K under weight_order(e_i) is homogeneous, and each head has
+    the fewest x_i of its terms, so x_i^k divides the head iff it divides
+    the element.  Dividing out these largest powers gives a Groebner basis
+    of K : x_i^inf: for homogeneous f with x_i^k f in K, a head of G
+    divides x_i^k head(f), and its quotient's head is free of x_i, so it
+    divides head(f).  The generators stay homogeneous, so the last
+    saturation is 1 iff one of them is a constant."""
+    n = generators[0].n
+    basis = [g for g in generators if not g.is_zero]
     for i in reversed(range(n)):
-        if any(len(g.terms) == 1 for g in basis):
-            return True
-        gb = buchberger(basis, weight_order(tuple(int(j == i) for j in range(n))))
-        basis = []
-        for g in gb.elements:
+        if len(basis) < 2 or any(len(g.terms) == 1 for g in basis):
+            break
+        if any(len({e[i] for e, _ in g.terms}) > 1 for g in basis):
+            order = weight_order(tuple(int(j == i) for j in range(n)))
+            basis = buchberger(basis, order).elements
+        divided = []
+        for g in basis:
             k = min(e[i] for e, _ in g.terms)
-            basis.append(Polynomial.from_dict(
+            divided.append(Polynomial.from_dict(
                 n, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms}))
+        basis = divided
     return any(len(g.terms) == 1 for g in basis)
 
 

@@ -225,8 +225,9 @@ class MembershipMap:
     An f of degree d >= 1 with every pure power d*e_i has Newton polytope
     d*Simplex, where key.e is minimal on the face spanned by the d*e_i with
     key_i minimal: f has one minimal term iff the key has one minimal
-    coordinate, one 0 once normalized, an O(n) test.  Other witnesses take
-    one dot product per term.  counts records each query's outcome:
+    coordinate, one 0 once normalized, an O(n) test, and pure_power_witness
+    tells a caller that every such key is out.  Other witnesses take one
+    dot product per term.  counts records each query's outcome:
     "witness", "stored face" (no work), "new face" (one saturation) or
     "new basis" (one weight_gb and one saturation); it is deterministic
     and in no JSON output.
@@ -252,6 +253,11 @@ class MembershipMap:
         self._witnesses = {}  # exponents of the other witnesses, as a set
         self._add_witnesses(ideal.generators)
         self._bases: list = []  # (MarkedGB, rows, {tight set: verdict})
+
+    @property
+    def pure_power_witness(self) -> bool:
+        """Whether some witness has every pure power (see above)."""
+        return self._simplex
 
     def _add_witnesses(self, polys):
         for p in polys:

@@ -101,3 +101,18 @@ def test_seed_range():
     assert bench_pairs.seed_range("campaign:5101-5103") == \
         ("campaign", [5101, 5102, 5103])
     assert bench_pairs.seed_range("member:7") == ("member", [7])
+
+
+def test_pass_counts_of_this_checkout():
+    # one seed-1 campaign pass of this checkout: Buchberger runs in all and
+    # inside saturations, beside the map's work; the outcomes total the
+    # keys the maps answered, the bulk rule-out of keys with one 0 included
+    counts = bench_pairs.pass_counts(PATH.parent.parent)
+    assert {k: counts[k] for k in (
+        "maps", "queries", "weight_gb", "saturations", "buchberger",
+        "saturation buchberger")} == {
+        "maps": 45, "queries": 2631, "weight_gb": 102, "saturations": 171,
+        "buchberger": 240, "saturation buchberger": 138}
+    assert counts["buchberger"] == (counts["weight_gb"]
+                                    + counts["saturation buchberger"])
+    assert sum(counts["outcomes"].values()) == 16923

@@ -132,6 +132,22 @@ class TestUnreadableInput:
         assert err.startswith("error: ") and "not UTF-8 text" in err
 
 
+class TestUnwritableOutput:
+    """An --out path that cannot be written is a usage error (exit 2), not
+    a traceback."""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
+        target = (tmp_path / "missing" / "x" if where == "missing-directory"
+                  else tmp_path)
+        code, out, err = run(capsys, "--out", str(target), "dim",
+                             str(CORPUS / "point"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out: ")
+        assert str(target) in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestMember:
     def test_inside(self, capsys, tmp_path):
         f = tmp_path / "lin"

@@ -292,7 +292,8 @@ class TestCampaigns:
         report = generic_membership_map(I(3, *texts), grid_radius=1,
                                         trials=2, bound=10, seed=1)
         points = normalized_grid(3, 1)
-        assert asked == 2 * (list(points[1:]) + [points[0]] * origin_asked)
+        assert asked == 2 * ([w for w in points[1:] if w.count(0) > 1]
+                             + [points[0]] * origin_asked)
         assert list(report.membership) == list(points)
         assert report.membership[(0, 0, 0)] != origin_asked
 

@@ -2,11 +2,14 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tropgen import groebner
+from tropgen.generic import random_transform, transform_ideal, trial_seed
 from tropgen.linalg import QQ, ZERO, ONE
 from tropgen.groebner import (
     MarkedGB,
@@ -26,9 +29,13 @@ from tropgen.poly import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    parse_ideal_file,
     parse_polynomial,
     weight_order,
 )
+from tropgen.weights import in_tropical_variety, initial_forms, weight_gb
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def P(text, n):
@@ -141,6 +148,27 @@ def homogeneous_ideals(draw, coefficients=st.integers(-3, 3)):
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(1, 3))
         gens.append(draw(forms(n, d, coefficients)
+                         .filter(lambda f: not f.is_zero)))
+    return n, gens
+
+
+@st.composite
+def graded_ideals(draw):
+    """Generators x_i^a*h, a <= 2, h a nonzero form of degree <= 2 free of
+    x_i, for one drawn i, in n = 2 or 3 variables, so that their ideal is
+    graded by x_i-degree; then up to 2 further nonzero forms of degree 1
+    or 2, after which only some generators may be x_i-homogeneous."""
+    n = draw(st.integers(2, 3))
+    i = draw(st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, 2))
+        h = draw(forms(n - 1, draw(st.integers(0, 2)), st.integers(-3, 3))
+                 .filter(lambda f: not f.is_zero))
+        gens.append(Polynomial.from_dict(
+            n, {e[:i] + (a,) + e[i:]: c for e, c in h.terms}))
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(draw(forms(n, draw(st.integers(1, 2)), st.integers(-3, 3))
                          .filter(lambda f: not f.is_zero)))
     return n, gens
 
@@ -302,6 +330,78 @@ class TestContainment:
         n, gens = case
         assert contains_monomial(gens) == rabinowitsch_contains_monomial(
             gens, n)
+
+
+def count_buchberger(monkeypatch):
+    """The list that gets one entry per buchberger run of contains_monomial."""
+    runs = []
+
+    def counting(*args, _real=buchberger):
+        runs.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return runs
+
+
+class TestSaturationShortcuts:
+    """contains_monomial answers a principal ideal at once and divides an
+    x_i-graded round with no Buchberger run."""
+
+    # x3*(x1 + x2) and x3^2*(x1 - x2) are x3-graded and saturate to
+    # (x1 + x2, x1 - x2), which holds x1.  x1 + x2 is x3-homogeneous but
+    # x1 + x3 and x2 + x3 are not: a round that skipped Buchberger there
+    # (or in the x2 or x1 round, likewise) would keep all three and miss
+    # the x1 of their ideal
+    @example((3, [P("x1*x3 + x2*x3", 3), P("x1*x3^2 - x2*x3^2", 3)]))
+    @example((3, [P("x1 + x3", 3), P("x1 + x2", 3), P("x2 + x3", 3)]))
+    @example((2, [P("x1^2 + x2^2", 2)]))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(graded_ideals(), homogeneous_ideals(),
+                     homogeneous_ideals().map(lambda c: (c[0], c[1][:1]))))
+    def test_shortcuts_match_rabinowitsch(self, case):
+        n, gens = case
+        assert contains_monomial(gens) == rabinowitsch_contains_monomial(
+            gens, n)
+
+    @pytest.mark.parametrize("text, monomial", [
+        ("x1^2 + x2*x3", False), ("x1*x2^2*x3", True), ("x1 - x1 + 2", True)])
+    def test_principal_ideal_runs_no_buchberger(self, monkeypatch, text,
+                                                 monomial):
+        runs = count_buchberger(monkeypatch)
+        assert contains_monomial([P(text, 3)]) is monomial
+        assert runs == []
+
+    @pytest.mark.parametrize("texts, monomial, rounds", [
+        # x3-graded: divided to x1 + x2 and x1 - x2, then the x2 round's
+        # basis holds x1
+        (("x1*x3 + x2*x3", "x1*x3^2 - x2*x3^2"), True, [(0, 1, 0)]),
+        (("x1*x3 + x2*x3", "x1*x3^2 + 2*x2*x3^2", "x1^2 + x2^2"), True,
+         [(0, 1, 0)]),
+        # x1*x2 + x3^2 is not x3-homogeneous: every round runs Buchberger
+        (("x1*x3 + x2*x3", "x1*x2 + x3^2"), False,
+         [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    ])
+    def test_graded_round_runs_no_buchberger(self, monkeypatch, texts,
+                                             monomial, rounds):
+        runs = count_buchberger(monkeypatch)
+        assert contains_monomial([P(t, 3) for t in texts]) is monomial
+        assert [order for _, order in runs] == [weight_order(w)
+                                                for w in rounds]
+
+    @pytest.mark.parametrize("name", ["ci_n4_dim2", "two_planes_nonprime",
+                                      "linear_r2_n4", "principal_n4_generic"])
+    def test_ray_key_skips_the_first_round(self, monkeypatch, name):
+        # in_e4(g(I)) is x4-graded: of the n rounds that each ran Buchberger,
+        # the first runs none
+        ideal = parse_ideal_file((CORPUS / name).read_text())
+        J = transform_ideal(ideal, random_transform(4, 50, trial_seed(1, 0)))
+        key = (0, 0, 0, 1)
+        forms = initial_forms(weight_gb(J, key), key)
+        runs = count_buchberger(monkeypatch)
+        assert not contains_monomial(forms)
+        assert len(runs) < J.n
+        assert in_tropical_variety(J, key)
 
 
 class TestDimension:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropgen import groebner, halfspaces, weights
+from tropgen import generic, groebner, halfspaces, weights
 from tropgen.fans import cone_dim, member, same_cone, skeleton_membership
 from tropgen.generic import (
     generic_membership_map,
@@ -461,7 +461,8 @@ class TestOriginAndPurePowers:
         # when no other key is in T; otherwise the origin costs no basis and
         # no saturation
         origin_asked = not any(want[1:])
-        assert asked == list(points[1:]) + [points[0]] * origin_asked
+        assert asked == ([w for w in points[1:] if w.count(0) > 1]
+                         + [points[0]] * origin_asked)
         if name == "coordinate_lines_n3":
             assert origin_asked and "contains_monomial" in origin_work
         if name == "point_n3":
@@ -497,6 +498,61 @@ class TestOriginAndPurePowers:
         assert normalize_grid_point((0, 0, 0)) == (0, 0, 0)
         assert normalize_grid_point((0, 2, 4)) == (0, 1, 2)
         assert normalize_grid_point([0, 1, 2]) == (0, 1, 2)
+
+
+class TestBulkRuleOut:
+    """A campaign sets the grid keys with one 0 to False, with no query,
+    when a generator of the trial's g(I) has every pure power."""
+
+    @pytest.mark.parametrize("name", campaign_ideals())
+    def test_report_is_the_plain_map(self, name, monkeypatch):
+        # the seed-1 campaign against a map asked every key, for each agreed
+        # transform; each map's counts total the keys it answered: every
+        # key but the origin, and the origin exactly when no other key is
+        # in T
+        maps = []
+
+        class Recording(MembershipMap):
+            def __init__(self, ideal):
+                super().__init__(ideal)
+                maps.append(self)
+
+        monkeypatch.setattr(generic, "MembershipMap", Recording)
+        ideal = parse_ideal_file((CORPUS / name).read_text())
+        report = generic_membership_map(ideal, seed=1)
+        points = normalized_grid(ideal.n, 3)
+        for g in report.transforms:
+            plain = MembershipMap(transform_ideal(ideal, g))
+            assert dict(report.membership) == {w: plain.query(w)
+                                               for w in points}
+        origin_asked = not any(report.membership[w] for w in points[1:])
+        agreed = maps[-len(report.transforms):]
+        assert [sum(mm.counts.values()) for mm in agreed] == \
+            [len(points) - 1 + origin_asked] * len(agreed)
+        # a generic g gives every generator of g(I) every pure power
+        one_zero = sum(w.count(0) == 1 for w in points)
+        assert all(mm.pure_power_witness and mm.counts["witness"] >= one_zero
+                   for mm in agreed)
+
+    def test_no_pure_power_asks_every_key(self, monkeypatch):
+        # the identity keeps x1*x2 + x3^2, which lacks x1^2 and x2^2: every
+        # key but the origin is asked, and (0, 2, 1), with one 0, is in T
+        asked = []
+        query = MembershipMap.query
+
+        def recording(self, w):
+            asked.append(w)
+            return query(self, w)
+
+        identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        monkeypatch.setattr(MembershipMap, "query", recording)
+        monkeypatch.setattr(generic, "random_transform",
+                            lambda n, bound, seed, accept=None: identity)
+        report = generic_membership_map(I(3, "x1*x2 + x3^2"), grid_radius=1,
+                                        trials=1, bound=10, seed=1)
+        points = normalized_grid(3, 1)
+        assert asked == list(points[1:])
+        assert report.membership[(0, 2, 1)] and report.membership[(0, 0, 0)]
 
 
 class TestReuseRows:

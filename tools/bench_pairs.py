@@ -20,7 +20,8 @@ neither, and the medians differ, in the better direction, by more than
 the distance between the parent's quartiles.  It also holds the work one
 seed-1 ``campaign`` pass does on each side: ``weight_gb`` calls,
 saturations (``contains_monomial`` calls), those made while the grid's
-origin was asked, and the outcomes of ``MembershipMap.counts``.
+origin was asked, ``buchberger`` runs in all and inside saturations, and
+the outcomes of ``MembershipMap.counts``.
 
 The file is rewritten after every pair, so an interrupted run keeps
 the pairs it finished.  Standard library only.
@@ -56,9 +57,9 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from workloads import WORKLOADS
 
 m = SimpleNamespace(**{name: importlib.import_module("tropgen." + name)
-                       for name in ("generic", "verify", "weights")})
-weights = m.weights
-counts, maps, origin = Counter(), {}, [False]
+                       for name in ("generic", "groebner", "verify", "weights")})
+weights, groebner = m.weights, m.groebner
+counts, maps, origin, saturating = Counter(), {}, [False], [False]
 
 def counted(name, real):
     def call(*args):
@@ -67,8 +68,27 @@ def counted(name, real):
         return real(*args)
     return call
 
+def saturation(real):
+    def call(*args):
+        saturating[0] = True
+        try:
+            return real(*args)
+        finally:
+            saturating[0] = False
+    return call
+
+def buchberger(real):
+    def call(*args):
+        counts["buchberger"] += 1
+        counts["saturation buchberger"] += saturating[0]
+        return real(*args)
+    return call
+
 weights.weight_gb = counted("weight_gb", weights.weight_gb)
-weights.contains_monomial = counted("saturations", weights.contains_monomial)
+weights.contains_monomial = counted("saturations",
+                                    saturation(weights.contains_monomial))
+weights.buchberger = buchberger(weights.buchberger)
+groebner.buchberger = buchberger(groebner.buchberger)
 real_query = weights.MembershipMap.query
 
 def query(self, w):
