@@ -279,7 +279,8 @@ class TestCampaigns:
         (("x1 + x2 + x3",), False), (("x1", "x2", "x3"), True)])
     def test_origin_is_asked_last_if_at_all(self, texts, origin_asked,
                                              monkeypatch):
-        # each trial's map asks every other grid key first, and the origin
+        # each trial's map is asked for every other grid key with more than
+        # one 0 (a pure-power witness rules out the rest), and for the origin
         # only when none of them is in T; the report keeps grid order
         asked = []
         query = MembershipMap.query

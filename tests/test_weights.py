@@ -457,9 +457,10 @@ class TestOriginAndPurePowers:
         assert want[0] == in_tropical_variety(J, points[0])
         assert all(in_tropical_variety(J, w)
                    for w, v in zip(points, want) if v)
-        # the map is asked for the origin, after every other key, exactly
-        # when no other key is in T; otherwise the origin costs no basis and
-        # no saturation
+        # the map is asked for every key with more than one 0 but the
+        # origin (a pure-power witness rules out the rest), and for the
+        # origin, last, exactly when no other key is in T; otherwise the
+        # origin costs no basis and no saturation
         origin_asked = not any(want[1:])
         assert asked == ([w for w in points[1:] if w.count(0) > 1]
                          + [points[0]] * origin_asked)
