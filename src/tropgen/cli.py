@@ -40,11 +40,10 @@ from .generic import (
     check_symmetry,
     generic_membership_map,
 )
-from .groebner import (buchberger, contains_monomial, krull_dimension,
+from .groebner import (MarkedGB, contains_monomial, krull_dimension,
                        normal_form)
 from .linalg import QQ, rref
 from .poly import (
-    GRLEX,
     Ideal,
     ImproperIdealError,
     ParseError,
@@ -72,8 +71,8 @@ from .weights import (
 )
 
 
-class OutputError(Exception):
-    """The --out file could not be written."""
+class UsageError(Exception):
+    """An option out of range, or an --out file that cannot be written."""
 
 
 EXIT_OK = 0
@@ -87,7 +86,7 @@ EXIT_BUDGET = 5
 FAILURES = {
     ParseError: (EXIT_PARSE, ""),
     BudgetSettingError: (EXIT_PARSE, ""),
-    OutputError: (EXIT_PARSE, ""),
+    UsageError: (EXIT_PARSE, ""),
     ImproperIdealError: (EXIT_IMPROPER, ""),
     NonGenericMatrixError: (EXIT_IMPROPER, ""),
     DisagreementError: (EXIT_DISAGREE, ""),
@@ -183,7 +182,7 @@ def _emit(args, jsonable, text_lines):
             with open(args.out, "w") as fh:
                 fh.write(out)
         except OSError as exc:
-            raise OutputError(f"cannot write --out: {exc}") from None
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(out)
 
@@ -201,32 +200,34 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def _monomial_certificate(n, gens):
-    """A monomial, coefficient 1, of the initial ideal in_w(I) that the
-    initial forms gens generate, for w outside the variety."""
-    for g in gens:
+def _monomial_certificate(initial: MarkedGB):
+    """A monomial, coefficient 1, of in_w(I), for w outside the variety
+    and initial a marked Groebner basis of in_w(I)."""
+    for g in initial.elements:
         if len(g.terms) == 1:
             return g.monic()
     # the smallest power of x1*..*xn in in_w(I); the search ends, since a
     # monomial m of in_w(I) divides (x1*..*xn)^k for k its largest exponent
-    gb = buchberger(gens, GRLEX)
+    n = initial.n
     for k in count(1):
         mono = Polynomial(n, ((tuple([k] * n), QQ(1)),))
-        if normal_form(mono, gb).is_zero:
+        if normal_form(mono, initial).is_zero:
             return mono
 
 
 def cmd_member(args) -> int:
     ideal = _load_ideal(args.ideal)
     w = _parse_weight(args.weight, ideal.n)
-    # one w-refined basis gives both the verdict and the certificate
-    gens = initial_forms(weight_gb(ideal, w), w)
-    inside = not contains_monomial(gens)
+    # one w-refined basis gives the verdict and the certificate: its initial
+    # forms, on its heads, are a basis of in_w(I) (see weights.MembershipMap)
+    gb = weight_gb(ideal, w)
+    initial = MarkedGB(gb.n, gb.order, initial_forms(gb, w), gb.heads)
+    inside = not contains_monomial(initial.elements)
     report = _base_report(args)
     report.update({"command": "member", "weight": list(w), "member": inside})
     lines = [f"w = {w}: {'true' if inside else 'false'}"]
     if not inside:
-        cert = _monomial_certificate(ideal.n, gens)
+        cert = _monomial_certificate(initial)
         report["certificate"] = list(cert.terms[0][0])
         lines.append(f"certificate monomial: {cert}")
     _emit(args, report, lines)
@@ -274,9 +275,7 @@ def cmd_fan(args) -> int:
         # the n-skeleton of W(n) is W(n), and --n is at least 1
         m = args.n if args.skeleton is None else args.skeleton
         if not 0 <= m <= args.n:
-            print(f"error: --skeleton must be in 0..{args.n}, not {m}",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise UsageError(f"--skeleton must be in 0..{args.n}, not {m}")
         fan = w_skeleton(args.n, m)
         label = f"W({args.n})" + (
             "" if args.skeleton is None else f" skeleton {m}")
@@ -389,14 +388,13 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    # an empty grid or no trials would pass every check on nothing, and
-    # W(n) needs a variable
-    for key, low in (("grid", 0), ("trials", 1), ("bound", 1), ("n", 1)):
-        if getattr(args, key, low) < low:
-            print(f"error: --{key} must be >= {low}, not {getattr(args, key)}",
-                  file=sys.stderr)
-            return EXIT_PARSE
     try:
+        # an empty grid or no trials would pass every check on nothing, and
+        # W(n) needs a variable
+        for key, low in (("grid", 0), ("trials", 1), ("bound", 1), ("n", 1)):
+            if getattr(args, key, low) < low:
+                raise UsageError(
+                    f"--{key} must be >= {low}, not {getattr(args, key)}")
         return COMMANDS[args.command](args)
     except tuple(FAILURES) as exc:
         code, hint = next(v for k, v in FAILURES.items() if isinstance(exc, k))

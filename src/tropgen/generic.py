@@ -6,12 +6,6 @@ certified by sampling, so every generic quantity here is computed for
 several independent random integer transforms; agreement across trials is
 the acceptance signal, disagreement triggers escalation (doubling the
 coefficient bound) and, if it persists, a loud error.
-
-Membership maps are stored on normalized grid points: subtract the minimum
-coordinate, divide by the gcd.  Tropical membership of a graded ideal is
-invariant under adding multiples of (1,..,1) and under positive scaling, so
-nothing is lost and every grid point of [-r, r]^n maps onto its
-representative.
 """
 
 from __future__ import annotations
@@ -20,14 +14,13 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from math import lcm
 
 from .fans import skeleton_membership
-from .groebner import _integral, buchberger
+from .groebner import buchberger, integral_coefficients
 from .linalg import QQ, rank
 from .poly import GRLEX, Ideal, Polynomial, TermOrder, monomial_mul
-from .weights import MembershipMap, in_tropical_variety, normalize_grid_point
+from .weights import MembershipMap, in_tropical_variety, normalized_grid
 
 
 class DisagreementError(RuntimeError):
@@ -67,7 +60,7 @@ def apply_transform(p: Polynomial, g) -> Polynomial:
     images = [{tuple(int(j == k) for k in range(n)):
                x.numerator * (q // x.denominator)
                for j, x in enumerate(row) if x} for row in g]
-    coeffs, d = _integral(p)
+    coeffs, d = integral_coefficients(p)
     top = max(map(sum, coeffs), default=0)
     out = {}
     for e, c in coeffs.items():
@@ -100,27 +93,8 @@ def trial_seed(seed: int, trial: int, escalation: int = 0) -> int:
 
 
 @cache
-def normalized_grid(n: int, radius: int) -> tuple:
-    """Sorted normalized representatives of the grid [-radius, radius]^n,
-    computed once per (n, radius), so reports over one grid share their
-    keys."""
-    return tuple(sorted({normalize_grid_point(w)
-                         for w in product(range(-radius, radius + 1),
-                                          repeat=n)}))
-
-
-@cache
 def _grid_index(n: int, radius: int) -> dict:
     return {w: i for i, w in enumerate(normalized_grid(n, radius))}
-
-
-@cache
-def _several_zeros(n: int, radius: int) -> tuple:
-    """Indices of the keys of normalized_grid(n, radius), the origin aside,
-    with more than one 0: the keys a map with a pure-power witness does not
-    rule out (see MembershipMap)."""
-    points = normalized_grid(n, radius)
-    return tuple(i for i in range(1, len(points)) if points[i].count(0) > 1)
 
 
 class GridMembership(Mapping):
@@ -188,7 +162,6 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
         raise ValueError(f"need grid_radius >= 0, trials >= 1 and bound >= 1, "
                          f"not {grid_radius}, {trials} and {bound}")
     n = ideal.n
-    points = normalized_grid(n, grid_radius)
     escalations = []
     current = bound
     for escalation in range(4):
@@ -199,19 +172,8 @@ def generic_membership_map(ideal: Ideal, grid_radius: int = 3,
             g = random_transform(n, current,
                                  trial_seed(seed, trial, escalation), accept)
             transforms.append(g)
-            mm = MembershipMap(transform_ideal(ideal, g))
-            asked = range(1, len(points))
-            if mm.pure_power_witness:
-                # the keys with one 0 are out, with no query each
-                asked = _several_zeros(n, grid_radius)
-                mm.counts["witness"] += len(points) - 1 - len(asked)
-            verdicts = bytearray(len(points))
-            for i in asked:
-                verdicts[i] = mm.query(points[i])
-            # points[0] is the origin: a monomial of I would lie in every
-            # in_w(I), and in_0(I) = I, so any other key in T puts it in T
-            verdicts[0] = any(verdicts) or mm.query(points[0])
-            maps.append(bytes(verdicts))
+            maps.append(MembershipMap(transform_ideal(ideal, g))
+                        .grid(grid_radius))
         if all(m == maps[0] for m in maps[1:]):
             return GenericityReport(ideal, seed, grid_radius,
                                     tuple(transforms),

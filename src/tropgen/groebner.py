@@ -68,7 +68,7 @@ class MarkedGB:
         return tuple(_elements(self.elements, self.heads))
 
 
-def _integral(p: Polynomial) -> tuple:
+def integral_coefficients(p: Polynomial) -> tuple:
     """(coefficients, d): the integer coefficients of d*p by exponent, for
     the least d > 0 that makes them integers."""
     d = 1
@@ -93,7 +93,7 @@ def _primitive(coeffs: dict, h) -> tuple:
 def _elements(polys, heads) -> list:
     """The primitive integer elements of nonzero polynomials marked on
     heads."""
-    return [_primitive(_integral(g)[0], h) for g, h in zip(polys, heads)]
+    return [_primitive(integral_coefficients(g)[0], h) for g, h in zip(polys, heads)]
 
 
 def _add_shifted_tail(work: dict, exps, cs, shift, factor) -> None:
@@ -146,7 +146,7 @@ def normal_form(p: Polynomial, gb: MarkedGB) -> Polynomial:
     """Fully reduce p modulo the marked basis gb (tail reduction included).
     The coefficients stay integers until the remainder is divided by the
     scale that clearing denominators and reduction introduced."""
-    work, d = _integral(p)
+    work, d = integral_coefficients(p)
     r, s = _reduce(work, gb.integer_elements, gb.heads, gb.order)
     return Polynomial.from_dict(p.n, {e: QQ(c, d * s) for e, c in r.items()})
 
@@ -212,7 +212,7 @@ def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
     the reduced basis, which is unique."""
     lifted = []
     for h, head in zip(initial.elements, initial.heads):
-        f, _ = _integral(h)
+        f, _ = integral_coefficients(h)
         r, s = _reduce(dict(f), gb.integer_elements, gb.heads, gb.order)
         f = {e: s * c for e, c in f.items()}
         _add_shifted_tail(f, r, r.values(), (0,) * gb.n, -1)

@@ -46,7 +46,7 @@ from .generic import (
 )
 from .groebner import krull_dimension
 from .linalg import QQ, mat_mul, primitive, rank
-from .poly import Ideal, ParseError, Polynomial
+from .poly import Ideal, ImproperIdealError, ParseError, Polynomial
 from .weights import enumerate_groebner_fan, groebner_cone, weight_gb
 
 
@@ -102,6 +102,8 @@ def check_principal_theorem(f: Polynomial, trials: int = 3, seed: int = 1,
     Checks that the agreed grid membership equals the (n-1)-skeleton of
     W(n), and (n <= 4, first transform) that the Groebner fan of g(f) is
     same_cone-bijective with the maximal cones of W(n)."""
+    if not f.homogeneous_degree():
+        raise ImproperIdealError("ideal is the whole ring")
     n = f.n
     campaign = generic_membership_map(
         Ideal.of(n, (f,)), grid_radius=radius, trials=trials, bound=bound,

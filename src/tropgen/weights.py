@@ -16,6 +16,8 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import replace
+from functools import cache
+from itertools import product
 from math import gcd
 from operator import mul, sub
 
@@ -209,6 +211,24 @@ def normalize_grid_point(w):
     return tuple(x // g for x in shifted)
 
 
+@cache
+def normalized_grid(n: int, radius: int) -> tuple:
+    """Sorted normalized representatives of the grid [-radius, radius]^n,
+    the origin first, computed once per (n, radius), so maps over one grid
+    share their keys."""
+    return tuple(sorted({normalize_grid_point(w)
+                         for w in product(range(-radius, radius + 1),
+                                          repeat=n)}))
+
+
+@cache
+def _several_zeros(n: int, radius: int) -> tuple:
+    """Indices of the keys of normalized_grid(n, radius) but the origin
+    with more than one 0: those a pure-power witness leaves open."""
+    points = normalized_grid(n, radius)
+    return tuple(i for i in range(1, len(points)) if points[i].count(0) > 1)
+
+
 class MembershipMap:
     """Lazy tropical membership over integer weights, kept per stored
     reduced basis and per face of its closed Groebner cone, so weight_gb
@@ -225,12 +245,14 @@ class MembershipMap:
     An f of degree d >= 1 with every pure power d*e_i has Newton polytope
     d*Simplex, where key.e is minimal on the face spanned by the d*e_i with
     key_i minimal: f has one minimal term iff the key has one minimal
-    coordinate, one 0 once normalized, an O(n) test, and pure_power_witness
-    tells a caller that every such key is out.  Other witnesses take one
-    dot product per term.  counts records each query's outcome:
-    "witness", "stored face" (no work), "new face" (one saturation) or
-    "new basis" (one weight_gb and one saturation); it is deterministic
-    and in no JSON output.
+    coordinate, one 0 once normalized: an O(n) test per key, and grid rules
+    out every such key of its grid at once.  Other witnesses take one dot
+    product per term.  counts records each key's outcome: "witness",
+    "stored face" (no work), "new face" (one saturation) or "new basis"
+    (one weight_gb and one saturation); it is deterministic and in no JSON
+    output.  The origin is in T(I) once any other key is: a monomial of I
+    would lie in every in_w(I), and in_0(I) = I; so grid asks for it last,
+    and only when no other key of its grid is in T(I).
 
     A stored basis G, reduced for an order <, answers every normalized key
     in its closed cone, where each row of G has (h - e).key <= 0
@@ -254,11 +276,6 @@ class MembershipMap:
         self._add_witnesses(ideal.generators)
         self._bases: list = []  # (MarkedGB, rows, {tight set: verdict})
 
-    @property
-    def pure_power_witness(self) -> bool:
-        """Whether some witness has every pure power (see above)."""
-        return self._simplex
-
     def _add_witnesses(self, polys):
         for p in polys:
             exps = tuple(e for e, _ in p.terms)
@@ -273,12 +290,11 @@ class MembershipMap:
         if self._simplex and key.count(0) == 1:
             self.counts["witness"] += 1
             return False
-        else:
-            for exps in self._witnesses:
-                dots = [sum(map(mul, key, e)) for e in exps]
-                if dots.count(min(dots)) == 1:
-                    self.counts["witness"] += 1
-                    return False
+        for exps in self._witnesses:
+            dots = [sum(map(mul, key, e)) for e in exps]
+            if dots.count(min(dots)) == 1:
+                self.counts["witness"] += 1
+                return False
         for i, entry in enumerate(self._bases):
             tight = _tight_rows(entry[1], key)
             if tight is not None:
@@ -301,6 +317,21 @@ class MembershipMap:
             outcome = "stored face"
         self.counts[outcome] += 1
         return verdict
+
+    def grid(self, radius: int) -> bytes:
+        """One byte per point of normalized_grid(n, radius), 1 for a key in
+        T(I): query answers, in grid order, the keys the rules above leave
+        open."""
+        points = normalized_grid(self.ideal.n, radius)
+        asked = range(1, len(points))
+        if self._simplex:
+            asked = _several_zeros(self.ideal.n, radius)
+            self.counts["witness"] += len(points) - 1 - len(asked)
+        verdicts = bytearray(len(points))
+        for i in asked:
+            verdicts[i] = self.query(points[i])
+        verdicts[0] = any(verdicts) or self.query(points[0])
+        return bytes(verdicts)
 
 
 def _tight_rows(rows, key):

@@ -6,12 +6,18 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import pytest
 
-from tropgen import __version__, cli, weights
+from tropgen import __version__, cli, groebner, weights
 from tropgen.cli import main
+from tropgen.groebner import buchberger, normal_form
+from tropgen.linalg import QQ
+from tropgen.poly import GRLEX, Polynomial, parse_ideal_file
+from tropgen.weights import (in_tropical_variety, initial_forms,
+                             normalized_grid, weight_gb)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -148,6 +154,33 @@ class TestUnwritableOutput:
         assert not (tmp_path / "missing").exists()
 
 
+CORPUS_IDEALS = sorted(json.loads(
+    (CORPUS / "manifest.json").read_text())["ideals"])
+
+# ideals with a monomial but no one-term element in their reduced bases,
+# so that the certificate at the origin is a power of x1*x2*x3
+POWER_SEARCH = {
+    "power_search_1": "vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n",
+    "power_search_2": "vars: 3\n2*x1 + x2 + x3\nx2*x3 + x1*x3 + x3^2\n",
+    "power_search_3": "vars: 3\nx2 + 2*x3 - 2*x1\nx1*x3 - x1^2\n"}
+
+
+def reference_certificate(ideal, w):
+    """The certificate of in_w(I), w outside T(I), found independently of
+    the w-refined basis's order: a one-term initial form if there is one,
+    else the smallest k whose (x1*..*xn)^k has normal form 0 modulo a
+    fresh GRLEX basis of in_w(I)."""
+    gens = initial_forms(weight_gb(ideal, w), w)
+    for g in gens:
+        if len(g.terms) == 1:
+            return list(g.terms[0][0])
+    gb = buchberger(gens, GRLEX)
+    for k in count(1):
+        mono = Polynomial(ideal.n, ((tuple([k] * ideal.n), QQ(1)),))
+        if normal_form(mono, gb).is_zero:
+            return [k] * ideal.n
+
+
 class TestMember:
     def test_inside(self, capsys, tmp_path):
         f = tmp_path / "lin"
@@ -178,8 +211,10 @@ class TestMember:
         assert "certificate monomial: x1^2*x2^2*x3^2" in out
 
     def test_one_basis_per_run(self, capsys, tmp_path, monkeypatch):
-        # the verdict and the certificate read the same initial forms
-        calls = []
+        # the verdict and the certificate read the same initial forms, and
+        # the power search reduces by them: the one Buchberger run outside
+        # the saturation test is weight_gb's
+        calls, runs, saturating = [], [], [False]
         weight_gb = weights.weight_gb
 
         def counting(ideal, *ws):
@@ -187,18 +222,57 @@ class TestMember:
             return weight_gb(ideal, *ws)
         monkeypatch.setattr(weights, "weight_gb", counting)
         monkeypatch.setattr(cli, "weight_gb", counting)
+
+        def counting_runs(generators, order):
+            runs.append(saturating[0])
+            return buchberger(generators, order)
+
+        def saturation(generators):
+            saturating[0] = True
+            try:
+                return groebner.contains_monomial(generators)
+            finally:
+                saturating[0] = False
+        for module in (cli, groebner, weights):
+            if vars(module).get("buchberger") is buchberger:
+                monkeypatch.setattr(module, "buchberger", counting_runs)
+        monkeypatch.setattr(cli, "contains_monomial", saturation)
         f = tmp_path / "ideal"
         f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
         assert code == 0 and out == ("w = (0, 0, 0): false\n"
                                      "certificate monomial: x1^2*x2^2*x3^2\n")
         assert calls == [((0, 0, 0),)]
+        assert runs.count(False) == 1
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0", "--json")
         assert code == 0 and out == json.dumps(
             {"certificate": [2, 2, 2], "command": "member", "member": False,
              "seed": 1, "tool": "tropgen", "version": __version__,
              "weight": [0, 0, 0]}, sort_keys=True, indent=2) + "\n"
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", [*CORPUS_IDEALS, *POWER_SEARCH])
+    def test_certificate_matches_a_fresh_basis(self, capsys, tmp_path, name):
+        # every weight of the radius-1 grid outside T, on each corpus ideal
+        # and on ideals whose certificate at the origin needs the power
+        # search, against the certificate of a fresh GRLEX basis
+        f = CORPUS / name
+        if name in POWER_SEARCH:
+            f = tmp_path / name
+            f.write_text(POWER_SEARCH[name])
+        ideal = parse_ideal_file(f.read_text())
+        outside = [w for w in normalized_grid(ideal.n, 1)
+                   if not in_tropical_variety(ideal, w)]
+        if name in POWER_SEARCH:
+            assert outside[0] == (0, 0, 0) and all(
+                len(g.terms) > 1 for g in initial_forms(
+                    weight_gb(ideal, outside[0]), outside[0]))
+        for w in outside:
+            code, out, _ = run(capsys, "member", str(f),
+                               "-w=" + ",".join(map(str, w)), "--json")
+            assert code == 0
+            assert json.loads(out)["certificate"] == \
+                reference_certificate(ideal, w), w
 
     def test_weight_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "member", str(CORPUS / "monomial_x1x2"),
@@ -399,6 +473,18 @@ class TestPrincipal:
         code, out, _ = run(capsys, "principal",
                            str(CORPUS / "monomial_x1x2"), "--bound", "1")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("text", ["vars: 3\n1\n", "vars: 2\n-3\n"],
+                             ids=["one", "minus_three"])
+    def test_unit_ideal_exit_3(self, capsys, tmp_path, text):
+        # a constant generator spans the whole ring, as generic and dim
+        # report it
+        f = tmp_path / "unit"
+        f.write_text(text)
+        for command in ("principal", "generic", "dim"):
+            code, out, err = run(capsys, command, str(f))
+            assert (code, out, err) == (3, "",
+                                        "error: ideal is the whole ring\n")
 
     def test_no_pure_power_transform_exit_4(self, capsys, tmp_path):
         # x_k^4 in g(f) has coefficient ab(a^2 - b^2) for the column

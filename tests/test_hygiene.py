@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or imports inside a function, no public function, class or method is
-defined that the package never uses, and every name the benchmark's
-tracer wraps still resolves."""
+"""Source hygiene: no module of the package imports a name it never uses,
+imports inside a function or imports another module's private name, no
+public function, class or method is defined that the package never uses,
+and every name the benchmark's tracer wraps still resolves."""
 
 import ast
 import importlib
@@ -74,6 +74,31 @@ def test_function_import_detector():
               "def f():\n    from math import gcd\n    return gcd\n"
               "class C:\n    def m(self):\n        import json\n")
     assert function_imports(source) == ["f (line 3)", "m (line 7)"]
+
+
+def private_imports(source: str) -> list:
+    """Underscored names, dunders aside, that a module imports from another
+    module of its package, as "name (line n)"."""
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names
+                  if alias.name.startswith("_")
+                  and not alias.name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    # a helper another module needs gets a public name in its owner
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_detector():
+    source = ("from . import __version__\n"
+              "from .a import public, _helper\n"
+              "from os import _exit\n"
+              "def f():\n    from .b import _other\n")
+    assert private_imports(source) == ["_helper (line 2)", "_other (line 5)"]
 
 
 # console-script entry points (pyproject.toml), called from outside
