@@ -5,7 +5,8 @@ appear); JSON output is the machine contract and is byte-identical across
 runs with the same input, seed and flags.
 
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
-fan walk found no cone across a facet, 2 parse or usage error (a
+fan walk is incomplete (no cone across a facet, or a cone with an
+equality), 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
 --bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
 --criteria number outside 1..10, a matrix without 1 <= r <= n - 1
@@ -15,7 +16,9 @@ ideal (contains a unit) or, for linear -w, a matrix that fails the closed
 form's genericity condition (a vanishing right-block entry or maximal
 minor), 4 persistent transform disagreement or no suitable random
 transform within --bound (principal on x1^3*x2 - x1*x2^3 with --bound 1:
-every such transform zeroes both pure powers), 5 fan budget exceeded.
+every such transform zeroes both pure powers), 5 fan budget exceeded
+(more cones than TROPGEN_BUDGET, default 200, in a Groebner fan walk or
+in the requested fan wn skeleton).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import sys
 import time
 from itertools import count
+from math import comb
 
 from . import __version__
 from .fans import (
@@ -66,6 +70,7 @@ from .weights import (
     BudgetSettingError,
     IncompleteFanError,
     enumerate_groebner_fan,
+    fan_budget,
     initial_forms,
     weight_gb,
 )
@@ -276,6 +281,13 @@ def cmd_fan(args) -> int:
         m = args.n if args.skeleton is None else args.skeleton
         if not 0 <= m <= args.n:
             raise UsageError(f"--skeleton must be in 0..{args.n}, not {m}")
+        # one cone C_A per A with |A| >= n - m + 1, counted before any is built
+        cones = sum(comb(args.n, k) for k in range(args.n - m + 1, args.n + 1))
+        budget = fan_budget()
+        if cones > budget:
+            raise BudgetExceededError(
+                f"the requested fan has {cones} cones, more than the "
+                f"budget of {budget}")
         fan = w_skeleton(args.n, m)
         label = f"W({args.n})" + (
             "" if args.skeleton is None else f" skeleton {m}")

@@ -30,9 +30,10 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cone:
-    """Canonicalized polyhedral cone {x : E x = 0, Q x <= 0}."""
+    """Canonicalized polyhedral cone {x : E x = 0, Q x <= 0}; slotted, as
+    a fan walk returns every cone it finds."""
 
     n: int
     equalities: tuple  # RREF rows scaled to primitive integers, in pivot order
@@ -145,15 +146,15 @@ def build_W(n: int) -> Fan:
     C_A is the plateau cone of A with nothing below it, labelled A.
     dim C_A = n - |A| + 1.
     """
-    return Fan(n, tuple(replace(plateau_cone(n, (), A), label=A)
-                        for size in range(1, n + 1)
-                        for A in combinations(range(n), size)))
+    return w_skeleton(n, n)
 
 
 def w_skeleton(n: int, m: int) -> Fan:
-    """The m-skeleton of W(n): cones C_A with |A| >= n - m + 1."""
-    full = build_W(n)
-    return Fan(n, tuple(c for c in full.cones if len(c.label) >= n - m + 1))
+    """The m-skeleton of W(n): cones C_A with |A| >= n - m + 1, built
+    without the cones of lower dimension."""
+    return Fan(n, tuple(replace(plateau_cone(n, (), A), label=A)
+                        for size in range(max(1, n - m + 1), n + 1)
+                        for A in combinations(range(n), size)))
 
 
 def skeleton_membership(n: int, m: int, w) -> bool:

@@ -10,23 +10,25 @@ strict flag winning, so equal rows merge at every level.  The system is
 infeasible exactly when an all-zero strict row (0 < 0) appears.
 
 Equalities, if any, are removed first by projecting onto a primitive
-integer basis of their kernel.  Fractions appear only in the
-back-substitution that builds a witness, which is returned scaled to a
+integer basis of their kernel.  The back-substitution that builds a
+witness keeps it as an integer vector over one common denominator and
+compares bounds by cross-multiplying; the witness is returned scaled to a
 primitive integer point (the systems are homogeneous, so positive scaling
 keeps it a solution).  facets() finds the irredundant rows of a cone by
 Clarkson's output-sensitive ray shooting (cddlib's
-RedundantRowsViaShooting).
+RedundantRowsViaShooting) from an interior point its caller supplies: the
+fan walk takes it from the cone's term order.
 
 All cones in this project are tiny (ambient dimension <= 8, a few dozen
 constraint rows), so exact elimination is both simple and fast enough.
-No floating point is ever involved.
+No Fraction and no floating point is ever involved.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .linalg import QQ, nullspace, primitive, vec_dot
+from .linalg import nullspace, primitive, vec_dot
 
 
 def _add(system, row, strict) -> bool:
@@ -88,7 +90,12 @@ def find_point(n, equalities=(), nonstrict=(), strict=()):
         if system is None:
             return None
 
-    z = []
+    # Back-substitute the point z / d, kept as integers z and d > 0.  At
+    # the level of z_var each row with c = row[var] != 0 bounds z_var by
+    # -row.z / (c d): above when c > 0, below when c < 0.  Bounds are
+    # compared in units of 1 / d as fractions num / den with den > 0, by
+    # cross-multiplying; z_var is then hi - 1, lo + 1, (lo + hi) / 2 or 0.
+    z, d = [], 1
     for system in reversed(levels):
         var = len(z)
         lo = hi = None
@@ -96,28 +103,37 @@ def find_point(n, equalities=(), nonstrict=(), strict=()):
             c = row[var]
             if not c:
                 continue
-            bound = QQ(-vec_dot(row, z), c)
+            num = -vec_dot(row, z)
             if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
+                if hi is None or num * hi[1] < hi[0] * c:
+                    hi = num, c
+            elif lo is None or -num * lo[1] > lo[0] * -c:
+                lo = -num, -c
         if lo is None:
-            z.append(0 if hi is None else hi - 1)
+            num, den = (0, 1) if hi is None else (hi[0] - hi[1] * d, hi[1])
         elif hi is None:
-            z.append(lo + 1)
+            num, den = lo[0] + lo[1] * d, lo[1]
         else:
-            z.append((lo + hi) / 2)
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        z = [x * den for x in z]
+        z.append(num)
+        d *= den
+        g = gcd(d, *z)
+        if g != 1:
+            z = [x // g for x in z]
+            d //= g
     if basis is not None:
         z = [sum(zi * b[j] for zi, b in zip(z, basis)) for j in range(n)]
     return primitive(z)
 
 
-def facets(n, rows):
+def facets(n, rows, c):
     """{facet row: primitive integer point in its relative interior} for
     the full-dimensional cone {x : q.x <= 0 for q in rows}, in the order
-    of rows (distinct, nonzero, primitive); ValueError if it has no
-    interior point c.  With F the facets found so far, an undecided row q
-    is tested by x = find_point(F <= 0, q.x > 0), of size |F| + 1:
+    of rows (distinct, nonzero, primitive), given an integer point c with
+    q.c < 0 for every row q.  With F the facets found so far, an
+    undecided row q is tested by x = find_point(F <= 0, q.x > 0), of size
+    |F| + 1:
 
     * No x: q is implied by the rows F, so it is no facet.
     * Else the ray (1 - t) c + t x meets r.x = 0 at t = a / (a + b) < 1
@@ -135,12 +151,8 @@ def facets(n, rows):
       which has a point exactly when r is a facet.
 
     Each step decides q, r or a facet of T, so there are at most
-    len(rows) steps; besides the search for c, only tie probes hold
-    every row.
+    len(rows) steps, and only tie probes hold every row.
     """
-    c = find_point(n, strict=rows)
-    if c is None:
-        raise ValueError("the cone has no interior point")
     found = {}
     todo = dict.fromkeys(rows)  # undecided rows, an insertion-ordered set
     while todo:

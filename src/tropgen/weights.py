@@ -107,8 +107,8 @@ def groebner_cone(gb: MarkedGB) -> Cone:
 
 
 class IncompleteFanError(RuntimeError):
-    """A facet flip found no neighbouring cone, so the fan walk would be
-    incomplete."""
+    """A facet flip found no neighbouring cone, or a walked cone has an
+    equality, so the fan walk would be incomplete."""
 
 
 def enumerate_groebner_fan(ideal: Ideal) -> Fan:
@@ -116,13 +116,14 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
 
     Starting from the cone of a fixed term order, halfspaces.facets gives
     each facet row of a cone with a point p in the facet's relative
-    interior; the neighbouring cone is the cone of the order refining p by
-    the row, and its reduced basis is lifted from the current cone's basis
+    interior, by rays from an interior point read off the cone's order
+    (_order_point); the neighbouring cone is the cone of the order refining
+    p by the row, and its reduced basis is lifted from the current cone's basis
     (see groebner.lift), so each cone after the first costs one Buchberger
     run on initial forms and one division by the current basis.  A cone's
     basis is kept only while the cone is on the stack.  The traversal stops
     with BudgetExceededError when more than fan_budget() cones appear, and
-    with IncompleteFanError when a flip fails.
+    with IncompleteFanError when a flip fails or a cone has an equality.
 
     A facet F of the current cone C is flipped only when no found cone
     with -row among its rows contains p.  The Groebner fan of a graded
@@ -146,7 +147,8 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
     stack = [start]  # (cone, basis) pairs
     while stack:
         cone, gb = stack.pop()
-        for row, p in facets(n, cone.inequalities).items():
+        interior = _order_point(cone, gb.order.weights)
+        for row, p in facets(n, cone.inequalities, interior).items():
             neg = tuple(-x for x in row)
             if any(member(c, p) for c in by_row.get(neg, ())):
                 continue
@@ -162,6 +164,34 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
         replace(c, inequalities=tuple(rows.setdefault(q, q)
                                       for q in c.inequalities))
         for c in found))
+
+
+def _order_point(cone: Cone, weights):
+    """An integer point where every row of the cone is negative, read off
+    the weights w1, w2, ... of its order (see groebner_cone): its rows are
+    negative at w1 + eps*w2 + ... for every small enough eps > 0.
+
+    From x = w1, each further weight w makes x = M*x + w, where M >= 1
+    exceeds r.w / -r.x for every row r with r.x < 0: those rows stay
+    negative, and a row with r.x = 0, orthogonal to the weights so far,
+    takes the sign of r.w, negative at the first weight not orthogonal to
+    it.  A row that is not negative at the end is orthogonal to every
+    weight, an equality of the cone, which a walk of full-dimensional
+    cones never meets: IncompleteFanError.
+    """
+    rows = cone.equalities + cone.inequalities
+    x = weights[0]
+    for w in weights[1:]:
+        m = 1
+        for r in rows:
+            d = vec_dot(r, x)
+            if d < 0:
+                m = max(m, vec_dot(r, w) // -d + 1)
+        x = tuple(m * a + b for a, b in zip(x, w))
+    if any(vec_dot(r, x) >= 0 for r in rows):
+        raise IncompleteFanError(
+            f"the Groebner cone of the weights {weights} has an equality")
+    return x
 
 
 def _generic_start(ideal: Ideal):

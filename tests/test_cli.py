@@ -347,6 +347,26 @@ class TestFan:
         assert labels == [(1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3, 4),
                           (2, 3, 4)]
 
+    def test_wn_over_budget_exit_5(self, capsys):
+        # W(40) has 2^40 - 1 cones: counted, not built
+        code, out, err = run(capsys, "fan", "wn", "--n", "40", "--json")
+        assert (code, out) == (5, "")
+        assert err == ("error: the requested fan has 1099511627775 cones, "
+                       "more than the budget of 200\n")
+
+    def test_wn_within_raised_budget(self, capsys, monkeypatch):
+        # W(8) has 255 cones, over the default budget of 200
+        code, _, _ = run(capsys, "fan", "wn", "--n", "8")
+        assert code == 5
+        monkeypatch.setenv("TROPGEN_BUDGET", "255")
+        code, out, _ = run(capsys, "fan", "wn", "--n", "8")
+        assert code == 0 and "W(8): 255 cones" in out
+
+    def test_wn_skeleton_is_built_alone(self, capsys):
+        # the 2-skeleton of W(40) has 41 cones, of 2^40 - 1 in W(40)
+        code, out, _ = run(capsys, "fan", "wn", "--n", "40", "--skeleton", "2")
+        assert code == 0 and "skeleton 2: 41 cones" in out
+
     def test_fan_json_deterministic(self, capsys):
         _, out1, _ = run(capsys, "fan", "wn", "--n", "3", "--json")
         _, out2, _ = run(capsys, "fan", "wn", "--n", "3", "--json")

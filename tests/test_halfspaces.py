@@ -1,14 +1,16 @@
-"""Fourier-Motzkin feasibility against an exact brute-force oracle, and
-ray-shooting facets against one full probe per row."""
+"""Fourier-Motzkin feasibility against an exact brute-force oracle and
+against a Fraction back-substitution, and ray-shooting facets against one
+full probe per row."""
 
+from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tropgen import halfspaces
 from tropgen.halfspaces import facets, feasible, find_point
-from tropgen.linalg import vec_dot
+from tropgen.linalg import nullspace, primitive, vec_dot
 
 BOX = 4
 
@@ -19,6 +21,16 @@ def systems(draw):
     row = st.tuples(*[st.integers(-1, 1)] * n)
     return (n, draw(st.lists(row, max_size=1)), draw(st.lists(row, max_size=4)),
             draw(st.lists(row, max_size=4)))
+
+
+@st.composite
+def wide_systems(draw):
+    """Systems in up to 4 variables with entries in -3..3: deeper
+    eliminations and denominators other than 1 and 2."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    return (n, draw(st.lists(row, max_size=2)), draw(st.lists(row, max_size=6)),
+            draw(st.lists(row, max_size=6)))
 
 
 def satisfies(x, equalities, nonstrict, strict):
@@ -68,6 +80,54 @@ class TestFindPoint:
         assert find_point(2, equalities=eqs) == (0, 0)
         assert find_point(2, equalities=eqs, strict=[(1, 1)]) is None
 
+    @given(wide_systems())
+    @settings(max_examples=500, deadline=None)
+    def test_point_is_the_fraction_back_substitution(self, case):
+        assert find_point(*case) == fraction_find_point(*case)
+
+
+def fraction_find_point(n, equalities=(), nonstrict=(), strict=()):
+    """The reference: find_point with its back-substitution in Fractions,
+    each bound a Fraction and each coordinate the least, the greatest or
+    the middle bound, moved by 1 past a missing one."""
+    basis = nullspace(equalities, n) if equalities else None
+    system = {}
+    for rows, flag in ((nonstrict, False), (strict, True)):
+        for q in rows:
+            if basis is not None:
+                q = [vec_dot(q, b) for b in basis]
+            if not halfspaces._add(system, tuple(q), flag):
+                return None
+    levels = []
+    k = n if basis is None else len(basis)
+    for var in range(k - 1, -1, -1):
+        levels.append(system)
+        system = halfspaces._eliminate(system, var)
+        if system is None:
+            return None
+    z = []
+    for system in reversed(levels):
+        var = len(z)
+        lo = hi = None
+        for row in system:
+            c = row[var]
+            if not c:
+                continue
+            bound = Fraction(-vec_dot(row, z), c)
+            if c > 0:
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
+        if lo is None:
+            z.append(0 if hi is None else hi - 1)
+        elif hi is None:
+            z.append(lo + 1)
+        else:
+            z.append((lo + hi) / 2)
+    if basis is not None:
+        z = [sum(zi * b[j] for zi, b in zip(z, basis)) for j in range(n)]
+    return primitive(z)
+
 
 @st.composite
 def cones(draw):
@@ -95,8 +155,9 @@ class TestFacets:
     @settings(max_examples=400, deadline=None)
     def test_facets_are_the_rows_the_full_probe_accepts(self, case):
         n, rows = case
-        assume(find_point(n, strict=rows) is not None)
-        got = facets(n, rows)
+        c = find_point(n, strict=rows)
+        assume(c is not None)
+        got = facets(n, rows, c)
         assert list(got) == [r for r in rows if probe(n, rows, r) is not None]
         assert_relative_interior_points(rows, got)
 
@@ -104,10 +165,6 @@ class TestFacets:
         # the ray from the interior point towards the first probe's point
         # leaves through the edge where both rows vanish
         rows = [(0, 0, 1), (0, 1, 1)]
-        got = facets(3, rows)
+        got = facets(3, rows, find_point(3, strict=rows))
         assert list(got) == rows
         assert_relative_interior_points(rows, got)
-
-    def test_cone_without_interior_raises(self):
-        with pytest.raises(ValueError):
-            facets(2, [(1, 0), (-1, 0)])

@@ -28,6 +28,7 @@ from tropgen.weights import (
     MembershipMap,
     _flip,
     _generic_start,
+    _order_point,
     enumerate_groebner_fan,
     groebner_cone,
     in_tropical_variety,
@@ -48,6 +49,8 @@ def I(n, *texts):
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_IDEALS = sorted(p.name for p in CORPUS.iterdir() if not p.suffix)
+WALKED_IDEALS = [name for name in CORPUS_IDEALS
+                 if parse_ideal_file((CORPUS / name).read_text()).n >= 3]
 
 
 def halving_flip(ideal, cone, row, p):
@@ -214,6 +217,43 @@ class TestFanEnumeration:
         with pytest.raises(IncompleteFanError):
             _flip(cone, gb, tuple(-x for x in row), p)
 
+    def test_cone_without_interior_raises(self, monkeypatch):
+        # at the weight (0, 0) the one row of x1 + x2 is tied: a start cone
+        # with an equality, whose order point leaves that row at zero
+        ideal = I(2, "x1 + x2")
+        gb = weight_gb(ideal, (0, 0))
+        cone = groebner_cone(gb)
+        assert cone.equalities
+        monkeypatch.setattr(weights, "_generic_start", lambda _: (cone, gb))
+        with pytest.raises(IncompleteFanError):
+            enumerate_groebner_fan(ideal)
+
+    @pytest.mark.parametrize("name", WALKED_IDEALS)
+    def test_order_point_makes_every_row_negative(self, name, monkeypatch):
+        # the point facets shoots its rays from, one per walked cone
+        J = transformed_corpus_ideal(name)
+        points, facets = [], weights.facets
+
+        def recording(n, rows, c):
+            points.append((rows, c))
+            return facets(n, rows, c)
+
+        monkeypatch.setattr(weights, "facets", recording)
+        fan = enumerate_groebner_fan(J)
+        assert sorted(rows for rows, _ in points) == \
+            sorted(c.inequalities for c in fan.cones)
+        for rows, c in points:
+            assert all(type(x) is int for x in c)
+            assert all(vec_dot(r, c) < 0 for r in rows), (rows, c)
+
+    def test_order_point_of_unit_weights(self):
+        # rows of x1 + x2 + x3 for the heads x3: -e1 + e3 and -e2 + e3;
+        # e1 leaves the second row at 0 and e2 makes it negative, so
+        # M = 1 + floor(0 / 1) and x = e1 + e2, then e3 needs M = 2
+        cone, gb = _generic_start(I(3, "x1 + x2 + x3"))
+        assert cone.inequalities == ((-1, 0, 1), (0, -1, 1))
+        assert _order_point(cone, gb.order.weights) == (2, 2, 1)
+
     @pytest.mark.parametrize("name", CORPUS_IDEALS)
     def test_flip_matches_halving_search(self, name):
         ideal = parse_ideal_file((CORPUS / name).read_text())
@@ -266,6 +306,35 @@ class TestFanEnumeration:
         assert calls == []
         assert any(c.denominator != 1 for gb in bases for g in gb.elements
                    for _, c in g.terms)
+
+    def test_facets_need_no_fraction_arithmetic(self, monkeypatch):
+        """The facets of a fan walk's cones come from Fourier-Motzkin
+        probes back-substituted in integers: no Fraction arithmetic or
+        comparison inside facets."""
+        J = transformed_corpus_ideal("ci_n4_dim2")
+        calls, cones, inside = [], [], [False]
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__lt__", "__gt__", "__le__", "__ge__"):
+            def counted(self, other, _op=getattr(QQ, name), _name=name):
+                if inside[0]:
+                    calls.append(_name)
+                return _op(self, other)
+            monkeypatch.setattr(QQ, name, counted)
+        facets = weights.facets
+
+        def watched(n, rows, c):
+            cones.append(rows)
+            inside[0] = True
+            try:
+                return facets(n, rows, c)
+            finally:
+                inside[0] = False
+        monkeypatch.setattr(weights, "facets", watched)
+        fan = enumerate_groebner_fan(J)
+        monkeypatch.undo()
+        assert len(cones) == len(fan.cones) == 36
+        assert calls == []
 
     def test_interiors_are_disjoint(self):
         fan = enumerate_groebner_fan(I(3, "x1 + x2 + x3"))
@@ -739,7 +808,29 @@ class TestWorkCounts:
         monkeypatch.setattr(halfspaces, "find_point", counting)
         fan = enumerate_groebner_fan(transformed_corpus_ideal("ci_n4_dim2"))
         assert len(fan.cones) == 36
-        assert sum(probes) == 14
+        assert sum(probes) == 6
+
+    def test_fan_walk_searches_no_interior_point(self, monkeypatch):
+        # each cone's interior point comes from its order, so no probe
+        # holds every row of a cone strict (one per cone, 36, when
+        # facets searched for that point)
+        probes = []
+
+        def counting(n, equalities=(), nonstrict=(), strict=()):
+            probes.append(tuple(strict))
+            return find_point(n, equalities, nonstrict, strict)
+
+        monkeypatch.setattr(halfspaces, "find_point", counting)
+        fan = enumerate_groebner_fan(transformed_corpus_ideal("ci_n4_dim2"))
+        assert len(fan.cones) == 36
+        rows = {c.inequalities for c in fan.cones}
+        assert sum(strict in rows for strict in probes) == 0
+
+    def test_n6_walk_cone_count(self):
+        # g(x1x2, x3x4) at n = 6, seed 1: the walk past n = 5 finishes
+        ideal = I(6, "x1*x2", "x3*x4")
+        J = transform_ideal(ideal, random_transform(6, 50, trial_seed(1, 0)))
+        assert len(enumerate_groebner_fan(J).cones) == 156
 
     def test_fan_walk_solves_each_weight_once(self, weight_gb_calls,
                                               buchberger_calls):
