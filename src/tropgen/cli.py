@@ -10,7 +10,8 @@ equality), 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
 --bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
 --criteria number outside 1..10, a matrix without 1 <= r <= n - 1
-independent rows, an input file that is not UTF-8, an integer literal
+independent rows, an input file that is not UTF-8, a malformed integer
+literal (poly.integer_literal: 1_0, a non-ASCII digit), an integer literal
 longer than Python converts, an --out path that cannot be written), 3 improper
 ideal (contains a unit) or, for linear -w, a matrix that fails the closed
 form's genericity condition (a vanishing right-block entry or maximal
@@ -52,6 +53,7 @@ from .poly import (
     ImproperIdealError,
     ParseError,
     Polynomial,
+    integer_literal,
     parse_ideal_file,
     read_input,
 )
@@ -106,11 +108,11 @@ _GLOBAL_DEFAULTS = {"seed": 1, "trials": 3, "bound": 50, "grid": 3,
 
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--bound", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--grid", type=int, default=argparse.SUPPRESS,
-                        help="grid radius")
+    for flag in ("--seed", "--trials", "--bound"):
+        common.add_argument(flag, type=integer_literal,
+                            default=argparse.SUPPRESS)
+    common.add_argument("--grid", type=integer_literal,
+                        default=argparse.SUPPRESS, help="grid radius")
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS, help="emit canonical JSON")
     common.add_argument("--out", default=argparse.SUPPRESS,
@@ -141,8 +143,8 @@ def _parser():
     fan_sub = sp.add_subparsers(dest="fan_kind", required=True)
     wn = fan_sub.add_parser("wn", parents=[common],
                             help="the reference fan W(n)")
-    wn.add_argument("--n", type=int, required=True)
-    wn.add_argument("--skeleton", type=int, default=None)
+    wn.add_argument("--n", type=integer_literal, required=True)
+    wn.add_argument("--skeleton", type=integer_literal, default=None)
     gf = fan_sub.add_parser("groebner", parents=[common],
                             help="Groebner fan of an ideal")
     gf.add_argument("ideal")
@@ -169,15 +171,23 @@ def _load_ideal(path) -> Ideal:
     return parse_ideal_file(read_input(path))
 
 
+def _integer_list(text):
+    """The comma-separated integer literals of an option, each read at its
+    position in text, spaces around it aside."""
+    values, start = [], 0
+    for part in text.split(","):
+        values.append(integer_literal(
+            part.strip(), start + len(part) - len(part.lstrip())))
+        start += len(part) + 1
+    return tuple(values)
+
+
 def _parse_weight(text, n):
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != n:
-        raise ParseError(f"weight has {len(parts)} entries, ideal has {n} "
+    entries = text.count(",") + 1
+    if entries != n:
+        raise ParseError(f"weight has {entries} entries, ideal has {n} "
                          f"variables", 0)
-    try:
-        return tuple(int(s) for s in parts)
-    except ValueError as exc:
-        raise ParseError(f"bad weight entry: {exc}", 0)
+    return _integer_list(text)
 
 
 def _emit(args, jsonable, text_lines):
@@ -365,12 +375,7 @@ def cmd_principal(args) -> int:
 def cmd_verify_corpus(args) -> int:
     t0 = time.perf_counter()
     corpus = Corpus(args.corpus)
-    numbers = None
-    if args.criteria:
-        try:
-            numbers = [int(s) for s in args.criteria.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"bad criteria list: {exc}", 0)
+    numbers = _integer_list(args.criteria) if args.criteria else None
     session = VerifySession(corpus, seed=args.seed, trials=args.trials,
                             bound=args.bound, grid=args.grid)
     results = session.run(numbers)

@@ -237,7 +237,8 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_TOKEN = re.compile(r"\s*(\d+|x\d+|\^|\*|\+|-|/)")
+_TOKEN = re.compile(r"\s*([0-9]+|x[0-9]+|\^|\*|\+|-|/)")
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _tokenize(text: str):
@@ -256,14 +257,17 @@ def _tokenize(text: str):
     return tokens
 
 
-def _integer(digits: str, position: int) -> int:
-    """The value of a decimal literal; ParseError where it is longer than
-    Python converts (sys.get_int_max_str_digits)."""
+def integer_literal(text: str, position: int = 0) -> int:
+    """The value of an integer of outside text at `position`: ASCII digits,
+    signed only where it stands alone (callers match digits first where it
+    does not).  ParseError for 1_0, a non-ASCII digit or too many digits."""
+    if not INTEGER.fullmatch(text):
+        raise ParseError(f"{text!r} is not an integer literal", position)
     try:
-        return int(digits)
+        return int(text)
     except ValueError:
-        raise ParseError(f"integer literal of {len(digits)} digits is too "
-                         f"long", position) from None
+        raise ParseError(f"integer literal of {len(text.lstrip('+-'))} "
+                         f"digits is too long", position) from None
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
@@ -289,24 +293,23 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         coeff = sign
         sign = ONE
         exp = [0] * n
-        saw_factor = False
         while i < len(tokens):
             tok, pos = tokens[i]
             if tok.isdigit():
-                value = QQ(_integer(tok, pos))
+                value = QQ(integer_literal(tok, pos))
                 i += 1
                 if i < len(tokens) and tokens[i][0] == "/":
                     i += 1
                     if i >= len(tokens) or not tokens[i][0].isdigit():
                         raise ParseError("expected denominator", pos)
-                    d = _integer(*tokens[i])
+                    d = integer_literal(*tokens[i])
                     if d == 0:
                         raise ParseError("zero denominator", tokens[i][1])
                     value = value / d
                     i += 1
                 coeff *= value
             elif tok.startswith("x"):
-                idx = _integer(tok[1:], pos + 1)
+                idx = integer_literal(tok[1:], pos + 1)
                 if not 1 <= idx <= n:
                     raise ParseError(f"variable index {idx} out of range 1..{n}", pos)
                 power = 1
@@ -315,20 +318,17 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                     i += 1
                     if i >= len(tokens) or not tokens[i][0].isdigit():
                         raise ParseError("expected exponent", pos)
-                    power = _integer(*tokens[i])
+                    power = integer_literal(*tokens[i])
                     i += 1
                 exp[idx - 1] += power
             else:
                 raise ParseError(f"unexpected token {tok!r}", pos)
-            saw_factor = True
             if i < len(tokens) and tokens[i][0] == "*":
                 i += 1
                 if i >= len(tokens):
                     raise ParseError("dangling '*'", tokens[i - 1][1])
                 continue
             break
-        if not saw_factor:
-            raise ParseError("expected a term", tokens[i][1] if i < len(tokens) else len(text))
         e = tuple(exp)
         coeffs[e] = coeffs.get(e, ZERO) + coeff
         expect_term = False
@@ -377,37 +377,48 @@ def read_input(path) -> str:
                          exc.start) from None
 
 
-# the most variables an ideal file may declare: far above every input the
-# engine decides, and it keeps parsing's memory bounded by the file's size
+# the most variables a file may declare: far above every input the engine
+# decides, and it keeps parsing's memory bounded by the file's size
 MAX_VARS = 64
 
 
+def header_lines(text: str, header: str):
+    """The header values of a file, and the (line number, stripped text) of
+    each later line.  Blank lines and lines starting with '#' are skipped;
+    the first other line is the header, of the form `header` ('vars: n',
+    'matrix: r n') with digits for the values, the last of them a variable
+    count in 1..MAX_VARS."""
+    lines = [(lineno, line) for lineno, line
+             in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and not line.startswith("#")]
+    if not lines:
+        raise ParseError(f"missing '{header}' header", 0)
+    (lineno, line), *lines = lines
+    name, *names = header.split()
+    m = re.fullmatch(re.escape(name) + r"\s*([0-9]+)"
+                     + r"\s+([0-9]+)" * (len(names) - 1), line)
+    if m is None:
+        raise ParseError(f"line {lineno}: expected '{header}' header", 0)
+    values = tuple(integer_literal(v, m.start(k))
+                   for k, v in enumerate(m.groups(), start=1))
+    if not 1 <= values[-1] <= MAX_VARS:
+        raise ParseError(f"line {lineno}: need 1..{MAX_VARS} variables, "
+                         f"not {values[-1]}", 0)
+    return values, lines
+
+
 def parse_ideal_file(text: str) -> Ideal:
-    """Ideal file: first non-comment line 'vars: n' with 1 <= n <= MAX_VARS,
-    then one generator per line; '#' lines are comments."""
-    n = None
+    """Ideal file: a 'vars: n' header (header_lines), then one generator
+    per line."""
+    (n,), lines = header_lines(text, "vars: n")
     gens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            m = re.fullmatch(r"vars:\s*(\d+)", line)
-            if m is None:
-                raise ParseError(f"line {lineno}: expected 'vars: n' header", 0)
-            n = _integer(m.group(1), m.start(1))
-            if not 1 <= n <= MAX_VARS:
-                raise ParseError(f"line {lineno}: need 1..{MAX_VARS} "
-                                 f"variables, not {n}", 0)
-            continue
+    for lineno, line in lines:
         p = parse_polynomial(line, n)
         if p.is_zero:
             raise ParseError(f"line {lineno}: generator is the zero polynomial", 0)
         if not p.is_homogeneous:
             raise ParseError(f"line {lineno}: generator is not homogeneous", 0)
         gens.append(p)
-    if n is None:
-        raise ParseError("missing 'vars: n' header", 0)
     if not gens:
         raise ParseError("no generators", 0)
     return Ideal.of(n, gens)

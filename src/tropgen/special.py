@@ -46,7 +46,8 @@ from .generic import (
 )
 from .groebner import krull_dimension
 from .linalg import QQ, mat_mul, primitive, rank
-from .poly import Ideal, ImproperIdealError, ParseError, Polynomial
+from .poly import (Ideal, ImproperIdealError, ParseError, Polynomial,
+                   header_lines, integer_literal)
 from .weights import enumerate_groebner_fan, groebner_cone, weight_gb
 
 
@@ -161,46 +162,30 @@ def right_block_nonzero(reduced, n) -> bool:
 
 
 def parse_matrix_file(text: str) -> tuple:
-    """Matrix file: 'matrix: r n' header, then r whitespace-separated rows
-    of rationals, linearly independent with 1 <= r <= n - 1 (a proper
-    linear ideal of dimension n - r >= 1); '#' lines are comments.
+    """Matrix file: a 'matrix: r n' header (header_lines), then r
+    whitespace-separated rows of rationals p or p/q (a signed integer over
+    an unsigned one), linearly independent with 1 <= r <= n - 1 (a proper
+    linear ideal of dimension n - r >= 1).
 
     Returns the rows scaled to primitive integer rows, which changes
     neither the ideal nor its RREF."""
-    header = None
+    (r, n), lines = header_lines(text, "matrix: r n")
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            m = re.fullmatch(r"matrix:\s*(\d+)\s+(\d+)", line)
-            if m is None:
-                raise ParseError(f"line {lineno}: expected 'matrix: r n' header", 0)
-            try:
-                header = (int(m.group(1)), int(m.group(2)))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad header: {exc}", 0) from None
-            continue
+    for lineno, line in lines:
         entries = line.split()
-        if len(entries) != header[1]:
-            raise ParseError(f"line {lineno}: expected {header[1]} entries", 0)
+        if len(entries) != n:
+            raise ParseError(f"line {lineno}: expected {n} entries", 0)
         row = []
         for ent in entries:
-            try:
-                if "/" in ent:
-                    p, q = ent.split("/")
-                    row.append(QQ(int(p), int(q)))
-                else:
-                    row.append(QQ(int(ent)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"line {lineno}: bad entry {ent!r}", 0) from exc
+            m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", ent)
+            q = integer_literal(m.group(2) or "1") if m else 0
+            if q == 0:
+                raise ParseError(f"line {lineno}: bad entry {ent!r}", 0)
+            row.append(QQ(integer_literal(m.group(1)), q))
         rows.append(tuple(row))
-    if header is None:
-        raise ParseError("missing 'matrix: r n' header", 0)
-    if len(rows) != header[0]:
-        raise ParseError(f"expected {header[0]} rows, got {len(rows)}", 0)
-    if not 0 < rank(rows) == len(rows) < header[1]:
+    if len(rows) != r:
+        raise ParseError(f"expected {r} rows, got {len(rows)}", 0)
+    if not 0 < rank(rows) == len(rows) < n:
         raise ParseError(f"need 1 <= r <= n - 1 linearly independent rows, "
                          f"got {len(rows)} of rank {rank(rows)}", 0)
     return tuple(map(primitive, rows))

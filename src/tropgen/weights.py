@@ -25,7 +25,8 @@ from .fans import Cone, Fan, make_cone, member
 from .groebner import MarkedGB, buchberger, contains_monomial, lift
 from .halfspaces import facets
 from .linalg import vec_dot
-from .poly import Ideal, Polynomial, weight_order
+from .poly import (INTEGER, Ideal, Polynomial, integer_literal,
+                   weight_order)
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,10 +42,7 @@ def fan_budget() -> int:
     raw = os.environ.get("TROPGEN_BUDGET")
     if not raw:
         return 200
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
+    budget = integer_literal(raw) if INTEGER.fullmatch(raw) else 0
     if budget < 1:
         raise BudgetSettingError(
             f"TROPGEN_BUDGET must be an integer >= 1, not {raw!r}")

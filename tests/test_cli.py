@@ -122,7 +122,8 @@ class TestUnreadableInput:
         f.write_text(f"matrix: 1 {LONG}\n1 2 3\n")
         code, out, err = run(capsys, "linear", str(f))
         assert (code, out) == (2, "")
-        assert err.startswith("error: line 1: bad header")
+        assert err.startswith("error: integer literal of 5000 digits is "
+                              "too long")
 
     @pytest.mark.parametrize("command, data", [
         ("dim", b"vars: 2\nx1 + x2\xff\n"),
@@ -136,6 +137,67 @@ class TestUnreadableInput:
         code, out, err = run(capsys, command, str(f), *weight)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "not UTF-8 text" in err
+
+
+class TestOneIntegerRule:
+    """An integer of outside text is ASCII digits, signed only where it
+    stands alone: anything int() would also read, such as 1_0 or a
+    non-ASCII digit, is a parse or usage error (exit 2), not a value."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("dim", "vars: 2\nx\u0661 + x2\n", "unexpected character 'x'"),
+        ("dim", "vars: \u0662\nx1 + x2\n", "line 1: expected 'vars: n' "
+                                            "header"),
+        ("linear", "matrix: 1 3\n1 2 1_0\n", "line 2: bad entry '1_0'"),
+        ("linear", "matrix: 1 3\n1 2 3/-4\n", "line 2: bad entry '3/-4'"),
+        ("linear", "matrix: 1 65\n" + " ".join(["1"] * 65) + "\n",
+         "line 1: need 1..64 variables, not 65"),
+    ], ids=["index", "vars", "entry", "denominator", "matrix-n"])
+    def test_file_literal_exit_2(self, capsys, tmp_path, command, text,
+                                 message):
+        f = tmp_path / "input"
+        f.write_text(text)
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_weight_exit_2(self, capsys):
+        code, out, err = run(capsys, "member", str(CORPUS / "monomial_x1x2"),
+                             "-w", "1_0,0")
+        assert (code, out) == (2, "")
+        assert err == ("error: '1_0' is not an integer literal "
+                       "(at position 0)\n")
+
+    def test_criteria_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify-corpus", str(CORPUS),
+                             "--criteria", "3,\u0667")
+        assert (code, out) == (2, "")
+        assert err == ("error: '\u0667' is not an integer literal "
+                       "(at position 2)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "1_0", "dim", str(CORPUS / "point")],
+        ["dim", str(CORPUS / "point"), "--seed", "\u0661"],
+        ["fan", "wn", "--n", "1_0"],
+        ["fan", "wn", "--n", "3", "--skeleton", " 1"]],
+        ids=["grid", "seed", "n", "skeleton"])
+    def test_option_exit_2(self, capsys, argv):
+        # argparse reports a bad option value and exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "error: argument" in captured.err
+        assert "invalid integer_literal value" in captured.err
+
+    def test_budget_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPGEN_BUDGET", "1_0")
+        code, out, err = run(capsys, "fan", "groebner",
+                             str(CORPUS / "hypersurface_n3"))
+        assert (code, out) == (2, "")
+        assert err == ("error: TROPGEN_BUDGET must be an integer >= 1, "
+                       "not '1_0'\n")
 
 
 class TestUnwritableOutput:
