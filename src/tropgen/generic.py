@@ -19,7 +19,7 @@ from math import lcm
 from .fans import skeleton_membership
 from .groebner import buchberger, integral_coefficients
 from .linalg import QQ, rank
-from .poly import GRLEX, Ideal, Polynomial, TermOrder, monomial_mul
+from .poly import GREVLEX, Ideal, Polynomial, TermOrder, monomial_mul
 from .weights import MembershipMap, in_tropical_variety, normalized_grid
 
 
@@ -228,7 +228,7 @@ def check_lineality(report: GenericityReport):
     return (True, None)
 
 
-def gb_support_stability(ideal: Ideal, order: TermOrder = GRLEX,
+def gb_support_stability(ideal: Ideal, order: TermOrder = GREVLEX,
                          trials: int = 3, bound: int = 50,
                          seed: int = 1) -> bool:
     """Supports of the reduced basis of g(I) agree across random g."""

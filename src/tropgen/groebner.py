@@ -4,9 +4,9 @@ ideal's own ring.
 
 A reduced marked Groebner basis is unique for a given ideal and term order,
 so downstream computations (dimensions, cones, initial ideals) are
-deterministic.  Heads are the order-maximal terms under the preference key
-of the order; for weight-refined orders on homogeneous input this marks the
-terms of minimal weight.
+deterministic.  Heads are the terms of least key under the order (see
+poly); for weight-refined orders on homogeneous input this marks the terms
+of minimal weight.
 
 The engine is fraction-free.  Inside buchberger, lift and normal_form an
 element is a primitive integer polynomial, kept as its head
@@ -34,7 +34,7 @@ from math import gcd, lcm
 
 from .linalg import QQ, ONE
 from .poly import (
-    GRLEX,
+    GREVLEX,
     Ideal,
     ImproperIdealError,
     Polynomial,
@@ -51,7 +51,7 @@ from .poly import (
 @dataclass(frozen=True)
 class MarkedGB:
     """Reduced Groebner basis with the head monomial of each element: its
-    order-maximal term, on which the element is monic."""
+    term of least key under order, on which the element is monic."""
 
     n: int
     order: TermOrder
@@ -118,12 +118,12 @@ def _reduce(work: dict, basis, heads, order: TermOrder) -> tuple:
     smaller than x^h under order.  A term c*x^e that x^h divides is removed
     by scaling everything by a/gcd(a, c) and subtracting
     (c/gcd(a, c))*x^(e - h)*(a*x^h + tail), which leaves only terms smaller
-    than x^e.  Terms are taken largest first, so each monomial leaves work
-    once, to be reduced or to enter the remainder."""
+    than x^e.  Terms are taken largest first (least key first), so each
+    monomial leaves work once, to be reduced or to enter the remainder."""
     remainder = {}
     scale = 1
     while work:
-        exp = max(work, key=order.key)
+        exp = min(work, key=order.key)
         c = work.pop(exp)
         for g, h in zip(basis, heads):
             if monomial_divides(h, exp):
@@ -192,7 +192,7 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
         _add_shifted_tail(work, ej, cj, monomial_div(l, hj), -(ai // c))
         r, _ = _reduce(work, basis, heads, order)
         if r:
-            h = max(r, key=order.key)
+            h = min(r, key=order.key)
             basis.append(_primitive(r, h))
             heads.append(h)
             add_pairs(len(basis) - 1)
@@ -239,7 +239,7 @@ def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
         r = {e: QQ(c, a * s) for e, c in r.items()}
         r[h] = ONE
         combined.append((h, Polynomial.from_dict(n, r)))
-    combined.sort(key=lambda t: order.key(t[0]))
+    combined.sort(key=lambda t: order.key(t[0]), reverse=True)
     heads = tuple(h for h, _ in combined)
     elements = tuple(g for _, g in combined)
     return MarkedGB(n, order, elements, heads)
@@ -312,8 +312,8 @@ def _fewest_meeting_variables(supports) -> int:
 
 
 def krull_dimension(ideal: Ideal) -> int:
-    """Krull dimension of R/I via the head ideal of a graded-lex basis."""
-    gb = buchberger(ideal.generators, GRLEX)
+    """Krull dimension of R/I via the heads of a graded reverse-lex basis."""
+    gb = buchberger(ideal.generators, GREVLEX)
     if any(h == (0,) * gb.n for h in gb.heads):
         raise ImproperIdealError("ideal is the whole ring")
     return monomial_ideal_dimension(ideal.n, gb.heads)

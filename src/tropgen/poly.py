@@ -6,16 +6,19 @@ canonical form makes equality structural and hashing cheap.  All arithmetic
 is exact.
 
 Every term order is a weight order: it compares total degree first, then
-the weights in turn, then lex.  A monomial's "preference" key is (total
-degree, -weights, lex); the most preferred monomial of a polynomial is its
-head (the marked term of a Groebner basis element).  So on homogeneous
-input the head is the term of minimal weight under the first weight, ties
-going to the next weight and finally towards x1; with no weights the order
-is graded lex.  On a graded ideal, weights and this tie-break fix every
-initial ideal the engine uses (Sturmfels, Groebner Bases and Convex
-Polytopes, ch. 1), and the degree-first component keeps the comparison a
-genuine global term order (1 is the least monomial), so Buchberger's
-algorithm terminates on inhomogeneous input as well.
+the weights in turn, then reverse lex.  The head of a polynomial (the
+marked term of a Groebner basis element) minimizes the key (-total
+degree, weights, reversed exponent): on homogeneous input it is the term
+of minimal weight under the first weight, ties going to the next weight
+and finally to the fewest xn, then the fewest x(n-1), and so on; with no
+weights the order is graded reverse lex.  In generic coordinates, where
+the engine works, the reverse-lex initial ideal has the regularity of I
+and the lex one far higher degrees (Bayer and Stillman, "A criterion for
+detecting m-regularity", 1987).  On a graded ideal, weights and this
+tie-break fix every initial ideal the engine uses (Sturmfels, Groebner
+Bases and Convex Polytopes, ch. 1), and the degree-first component keeps
+the comparison a genuine global term order (1 is the least monomial), so
+Buchberger's algorithm terminates on inhomogeneous input as well.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class TermOrder:
     It refines a list of weight vectors, possibly empty, in turn: total
     degree is compared first, so the order is global even for negative
     weights; then heads have minimal weight under the first vector, ties
-    go to the next and remaining ties to lex.  Weights are stored as
-    primitive integer vectors, so equal orders compare equal.
+    go to the next and remaining ties to reverse lex.  Weights are stored
+    as primitive integer vectors, so equal orders compare equal.
     """
 
     weights: tuple
@@ -90,19 +93,19 @@ class TermOrder:
                            tuple(primitive(w) for w in self.weights))
 
     def key(self, exp):
-        """Preference key; the head of a polynomial maximizes it."""
-        return (sum(exp), tuple([-sum(map(mul, w, exp)) for w in self.weights]),
-                exp)
+        """Sort key; the head of a polynomial minimizes it."""
+        return (-sum(exp), tuple([sum(map(mul, w, exp)) for w in self.weights]),
+                exp[::-1])
 
 
 def weight_order(*weights) -> TermOrder:
-    """The order refining the weights in turn, then lex: on monomials of
-    one degree it is the order of w1 + eps*w2 + eps^2*w3 + ... for every
-    small enough eps > 0 (ties broken by lex)."""
+    """The order refining the weights in turn, then reverse lex: on
+    monomials of one degree it is the order of w1 + eps*w2 + eps^2*w3 + ...
+    for every small enough eps > 0 (ties broken by reverse lex)."""
     return TermOrder(weights)
 
 
-GRLEX = weight_order()
+GREVLEX = weight_order()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,7 @@ class Polynomial:
     def support(self) -> frozenset:
         return frozenset(e for e, _ in self.terms)
 
-    def monic(self, order: TermOrder = GRLEX) -> "Polynomial":
+    def monic(self, order: TermOrder = GREVLEX) -> "Polynomial":
         """Scale so the head coefficient (w.r.t. order) is 1."""
         if not self.terms:
             return self
@@ -160,7 +163,7 @@ class Polynomial:
     def head_monomial(self, order: TermOrder) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no head")
-        return max((e for e, _ in self.terms), key=order.key)
+        return min((e for e, _ in self.terms), key=order.key)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -35,7 +35,7 @@ from .generic import (
 from .groebner import buchberger, contains_monomial, normal_form
 from .linalg import QQ, rank
 from .poly import (
-    GRLEX,
+    GREVLEX,
     Ideal,
     ParseError,
     Polynomial,
@@ -289,7 +289,7 @@ class VerifySession:
             return (False, f"only {len(names)} ideals flagged")
         for name in names:
             ideal = self.corpus.ideal(name)
-            for order in (GRLEX, weight_order(tuple(range(1, ideal.n + 1)))):
+            for order in (GREVLEX, weight_order(tuple(range(1, ideal.n + 1)))):
                 if not gb_support_stability(ideal, order, trials=self.trials,
                                             bound=self.bound, seed=self.seed):
                     return (False, f"{name}: supports differ under weights "
@@ -396,7 +396,7 @@ def _oracle_ideals(rng):
 
 def _brute_force_contains_monomial(gens, n, max_degree):
     """Reduce every monomial of degree <= max_degree to normal form."""
-    gb = buchberger(gens, GRLEX)
+    gb = buchberger(gens, GREVLEX)
     for d in range(1, max_degree + 1):
         for pick in combinations_with_replacement(range(n), d):
             e = tuple(sum(1 for v in pick if v == i) for i in range(n))

@@ -61,7 +61,7 @@ def initial_form(p: Polynomial, w) -> Polynomial:
 def weight_gb(ideal: Ideal, *weights) -> MarkedGB:
     """Reduced Groebner basis for the order refining the weights in turn;
     on graded ideals the marked head of each element is its minimal-weight
-    term under the first weight, ties going to the next (lex-max last)."""
+    term under the first weight, ties going to the next, then reverse lex."""
     return buchberger(ideal.generators, weight_order(*weights))
 
 

@@ -111,8 +111,8 @@ def test_pass_counts_of_this_checkout():
     assert {k: counts[k] for k in (
         "maps", "queries", "weight_gb", "saturations", "buchberger",
         "saturation buchberger")} == {
-        "maps": 45, "queries": 2631, "weight_gb": 102, "saturations": 171,
-        "buchberger": 240, "saturation buchberger": 138}
+        "maps": 45, "queries": 2631, "weight_gb": 105, "saturations": 177,
+        "buchberger": 243, "saturation buchberger": 138}
     assert counts["buchberger"] == (counts["weight_gb"]
                                     + counts["saturation buchberger"])
     assert sum(counts["outcomes"].values()) == 16923

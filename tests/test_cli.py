@@ -15,7 +15,7 @@ from tropgen import __version__, cli, groebner, weights
 from tropgen.cli import main
 from tropgen.groebner import buchberger, normal_form
 from tropgen.linalg import QQ
-from tropgen.poly import GRLEX, Polynomial, parse_ideal_file
+from tropgen.poly import GREVLEX, Polynomial, parse_ideal_file
 from tropgen.weights import (in_tropical_variety, initial_forms,
                              normalized_grid, weight_gb)
 
@@ -231,12 +231,12 @@ def reference_certificate(ideal, w):
     """The certificate of in_w(I), w outside T(I), found independently of
     the w-refined basis's order: a one-term initial form if there is one,
     else the smallest k whose (x1*..*xn)^k has normal form 0 modulo a
-    fresh GRLEX basis of in_w(I)."""
+    fresh GREVLEX basis of in_w(I)."""
     gens = initial_forms(weight_gb(ideal, w), w)
     for g in gens:
         if len(g.terms) == 1:
             return list(g.terms[0][0])
-    gb = buchberger(gens, GRLEX)
+    gb = buchberger(gens, GREVLEX)
     for k in count(1):
         mono = Polynomial(ideal.n, ((tuple([k] * ideal.n), QQ(1)),))
         if normal_form(mono, gb).is_zero:
@@ -317,7 +317,7 @@ class TestMember:
     def test_certificate_matches_a_fresh_basis(self, capsys, tmp_path, name):
         # every weight of the radius-1 grid outside T, on each corpus ideal
         # and on ideals whose certificate at the origin needs the power
-        # search, against the certificate of a fresh GRLEX basis
+        # search, against the certificate of a fresh GREVLEX basis
         f = CORPUS / name
         if name in POWER_SEARCH:
             f = tmp_path / name

@@ -24,7 +24,7 @@ from tropgen.generic import (
 )
 from tropgen.groebner import buchberger, krull_dimension
 from tropgen.linalg import QQ
-from tropgen.poly import GRLEX, Ideal, Polynomial, parse_polynomial
+from tropgen.poly import GREVLEX, Ideal, Polynomial, parse_polynomial
 from tropgen.weights import MembershipMap
 
 from test_fans import leibniz_det
@@ -151,8 +151,8 @@ class TestApplyTransform:
         g = random_transform(3, 5, 11)
         back = transform_ideal(transform_ideal(ideal, g), mat_inverse(g))
         # same ideal: identical reduced bases
-        assert buchberger(back.generators, GRLEX).elements == \
-            buchberger(ideal.generators, GRLEX).elements
+        assert buchberger(back.generators, GREVLEX).elements == \
+            buchberger(ideal.generators, GREVLEX).elements
 
     def test_dimension_invariance(self):
         for seed, ideal in enumerate([
@@ -220,8 +220,8 @@ class TestPermuteColumns:
                 renamed_gens.append(
                     parse_polynomial("0", 3).from_dict(3, moved))
             renamed = Ideal.of(3, tuple(renamed_gens))
-            assert buchberger(direct.generators, GRLEX).elements == \
-                buchberger(renamed.generators, GRLEX).elements
+            assert buchberger(direct.generators, GREVLEX).elements == \
+                buchberger(renamed.generators, GREVLEX).elements
 
     def test_composition(self):
         g = random_transform(4, 4, 5)
@@ -361,21 +361,21 @@ class TestCampaigns:
 
 class TestSupportStability:
     def test_monomial_ideal(self):
-        assert gb_support_stability(I(2, "x1*x2"), GRLEX, trials=3,
+        assert gb_support_stability(I(2, "x1*x2"), GREVLEX, trials=3,
                                     bound=50, seed=1)
 
     def test_principal_full_support(self):
         from math import comb
 
         ideal = I(3, "x1^2 + x2*x3")
-        assert gb_support_stability(ideal, GRLEX, trials=3, bound=50, seed=1)
+        assert gb_support_stability(ideal, GREVLEX, trials=3, bound=50, seed=1)
         # the generic support is every degree-2 monomial
         g = random_transform(3, 50, 123)
         transformed = transform_ideal(ideal, g)
-        gb = buchberger(transformed.generators, GRLEX)
+        gb = buchberger(transformed.generators, GREVLEX)
         assert len(gb.elements) == 1
         assert len(gb.elements[0].terms) == comb(3 + 2 - 1, 2)
 
     def test_single_trial_vacuous(self):
-        assert gb_support_stability(I(2, "x1 + x2"), GRLEX, trials=1,
+        assert gb_support_stability(I(2, "x1 + x2"), GREVLEX, trials=1,
                                     bound=10, seed=1)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tropgen.cli import _parse_weight
 from tropgen.linalg import QQ, primitive, rank
 from tropgen.poly import (
-    GRLEX,
+    GREVLEX,
     Ideal,
     MAX_VARS,
     ParseError,
@@ -147,9 +147,10 @@ LT, EQ, GT = -1, 0, 1
 
 
 def compare_monomials(a, b, order):
-    """GT iff a is preferred over b (marked first), EQ iff a == b."""
+    """GT iff a is preferred over b (marked first), EQ iff a == b: the
+    head minimizes the key."""
     ka, kb = order.key(a), order.key(b)
-    return GT if ka > kb else LT if ka < kb else EQ
+    return GT if ka < kb else LT if ka > kb else EQ
 
 
 class TestTermOrders:
@@ -157,7 +158,7 @@ class TestTermOrders:
         return [e for e in product(range(d + 1), repeat=n) if sum(e) <= d]
 
     @pytest.mark.parametrize("order", [
-        GRLEX, weight_order((0, 1, 2)), weight_order((-1, 2, 0))])
+        GREVLEX, weight_order((0, 1, 2)), weight_order((-1, 2, 0))])
     def test_totality_and_antisymmetry(self, order):
         monos = self.exhaustive_monomials(3, 3)
         for a in monos:
@@ -168,7 +169,7 @@ class TestTermOrders:
                 assert compare_monomials(b, a, order) == -c
 
     @pytest.mark.parametrize("order", [
-        GRLEX, weight_order((0, 1, 2)), weight_order((3, 1, 2))])
+        GREVLEX, weight_order((0, 1, 2)), weight_order((3, 1, 2))])
     def test_multiplicative(self, order):
         monos = self.exhaustive_monomials(3, 2)
         shift = (1, 0, 2)
@@ -214,7 +215,7 @@ class TestTermOrders:
                 == compare_monomials(a, b, weight_order(perturbed)))
 
     def test_one_is_least(self):
-        for order in (GRLEX, weight_order((0, 1))):
+        for order in (GREVLEX, weight_order((0, 1))):
             for e in self.exhaustive_monomials(2, 3):
                 if e != (0, 0):
                     assert compare_monomials(e, (0, 0), order) == GT

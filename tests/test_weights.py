@@ -20,7 +20,7 @@ from tropgen.generic import (
 from tropgen.groebner import buchberger
 from tropgen.halfspaces import find_point
 from tropgen.linalg import QQ, vec_dot
-from tropgen.poly import (GRLEX, Ideal, TermOrder, parse_ideal_file,
+from tropgen.poly import (GREVLEX, Ideal, TermOrder, parse_ideal_file,
                           parse_polynomial)
 from tropgen.weights import (
     BudgetExceededError,
@@ -392,9 +392,9 @@ def transformed_corpus_ideal(name):
 
 
 def initial_basis(gb, key):
-    """The GRLEX reduced basis of the initial forms in_key(g), g in gb, as
+    """The GREVLEX reduced basis of the initial forms in_key(g), g in gb, as
     a set of (head, element) pairs."""
-    reduced = buchberger([initial_form(g, key) for g in gb.elements], GRLEX)
+    reduced = buchberger([initial_form(g, key) for g in gb.elements], GREVLEX)
     return set(zip(reduced.heads, reduced.elements))
 
 
