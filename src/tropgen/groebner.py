@@ -22,7 +22,8 @@ and where they leave: each element of a reduced basis is divided by its
 head coefficient once, so every MarkedGB is monic on its heads (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 7),
 with Fraction coefficients.  normal_form and lift read a MarkedGB's
-integer elements, converted once per basis.
+integer elements, converted once per basis; lift splits them by a weight
+p, once per call, and divides only p-initial parts (see lift).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import QQ, ONE
 from .poly import (
@@ -200,22 +202,76 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
     return _interreduce(n, basis, heads, order)
 
 
+class LiftError(ValueError):
+    """lift's precondition fails: its weight p is outside the closed cone
+    of gb, or initial is not a basis of in_p(I)."""
+
+
 def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
     """The reduced basis of the graded ideal I for initial's order from
-    the reduced bases gb of I and initial of in_p(I), for a weight p in
-    the closure of gb's cone that initial's order refines.  The in_p(g),
-    g in gb, are a Groebner basis of in_p(I), so dividing a p-homogeneous
-    h in initial by gb leaves a remainder r of larger p-weight only: with
-    d clearing h's denominators and s the scale of the reduction,
-    f = s*(d*h) - r lies in I with in_p(f) = s*d*h.  The f are a minimal
-    Groebner basis of I for initial's order, and inter-reducing them gives
-    the reduced basis, which is unique."""
+    the reduced bases gb of I and initial of in_p(I), for the weight p
+    that initial's order refines first, in the closure of gb's cone: the
+    lifting step of the Groebner walk (Collart, Kalkbrener and Mall,
+    "Converting bases with the Groebner walk", 1997; Fukuda, Jensen and
+    Thomas, "Computing Groebner fans", 2007, section 3).
+
+    Each element g of gb splits into its head, the tail terms of the
+    head's p-weight, which complete in_p(g), and the rest, of larger
+    p-weight.  The in_p(g) are a Groebner basis of in_p(I) for gb's order,
+    so dividing a p-homogeneous h in initial by them, largest term first
+    and with _reduce's fraction-free scaling, reaches 0; each step's
+    multiple of the rest of g goes to an accumulated rest, which is never
+    reduced.  With d clearing h's denominators and s the scale of the
+    division, f = s*(d*h) - rest = sum of q_g*g lies in I, and every term
+    of the rest has larger p-weight than h, so in_p(f) = s*d*h.  The f are
+    a minimal Groebner basis of I for initial's order, and inter-reducing
+    them gives the reduced basis, which is unique.
+
+    LiftError names p and a term when a tail term of gb weighs less under
+    p than its head (p is outside the closed cone) or no head of gb
+    divides a p-initial term (initial is not a basis of in_p(I))."""
+    p = initial.order.weights[0]
+    # per element of gb: its head and a, then the tail of in_p(g) and the
+    # rest, each as exponents and coefficients
+    split = []
+    for (a, exps, cs), h in zip(gb.integer_elements, gb.heads):
+        ph = sum(map(mul, p, h))
+        tail, higher = {}, {}
+        for e, c in zip(exps, cs):
+            d = sum(map(mul, p, e)) - ph
+            if d < 0:
+                raise LiftError(
+                    f"p = {p} is outside the closed Groebner cone: the tail "
+                    f"term x^{e} weighs less than its head x^{h}")
+            (higher if d else tail)[e] = c
+        split.append((h, a, tuple(tail), tuple(tail.values()),
+                      tuple(higher), tuple(higher.values())))
     lifted = []
     for h, head in zip(initial.elements, initial.heads):
         f, _ = integral_coefficients(h)
-        r, s = _reduce(dict(f), gb.integer_elements, gb.heads, gb.order)
-        f = {e: s * c for e, c in f.items()}
-        _add_shifted_tail(f, r, r.values(), (0,) * gb.n, -1)
+        work, rest, scale = dict(f), {}, 1
+        while work:
+            exp = min(work, key=gb.order.key)
+            c = work.pop(exp)
+            for hg, a, tail_e, tail_c, rest_e, rest_c in split:
+                if monomial_divides(hg, exp):
+                    k = gcd(a, c)
+                    if k != a:
+                        s = a // k
+                        scale *= s
+                        work = {e: s * v for e, v in work.items()}
+                        rest = {e: s * v for e, v in rest.items()}
+                    shift = monomial_div(exp, hg)
+                    _add_shifted_tail(work, tail_e, tail_c, shift, -(c // k))
+                    _add_shifted_tail(rest, rest_e, rest_c, shift, -(c // k))
+                    break
+            else:
+                raise LiftError(
+                    f"no head of the basis divides the p-initial term "
+                    f"x^{exp}, p = {p}: the initial basis is not a basis "
+                    f"of in_p(I)")
+        f = {e: scale * c for e, c in f.items()}
+        f.update((e, -c) for e, c in rest.items())
         lifted.append(_primitive(f, head))
     return _interreduce(gb.n, lifted, initial.heads, initial.order)
 

@@ -118,7 +118,8 @@ def enumerate_groebner_fan(ideal: Ideal) -> Fan:
     (_order_point); the neighbouring cone is the cone of the order refining
     p by the row, and its reduced basis is lifted from the current cone's basis
     (see groebner.lift), so each cone after the first costs one Buchberger
-    run on initial forms and one division by the current basis.  A cone's
+    run on initial forms and one division of the p-initial part by in_p(G)
+    for the current basis G.  A cone's
     basis is kept only while the cone is on the stack.  The traversal stops
     with BudgetExceededError when more than fan_budget() cones appear, and
     with IncompleteFanError when a flip fails or a cone has an equality.
@@ -212,7 +213,8 @@ def _flip(cone: Cone, gb: MarkedGB, row, p):
     outer normal row, which is the order of p + eps*row for every small
     enough eps > 0 (Fukuda, Jensen and Thomas, "Computing Groebner fans",
     2007, section 3); its basis is lifted from gb and the reduced basis
-    of in_p(I) for that order.
+    of in_p(I) for that order by one division of the p-initial part by
+    in_p(G), G = gb (see groebner.lift).
     """
     other_gb = lift(buchberger(initial_forms(gb, p), weight_order(p, row)), gb)
     other = groebner_cone(other_gb)

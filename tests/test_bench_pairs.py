@@ -116,3 +116,46 @@ def test_pass_counts_of_this_checkout():
     assert counts["buchberger"] == (counts["weight_gb"]
                                     + counts["saturation buchberger"])
     assert sum(counts["outcomes"].values()) == 16923
+
+
+def test_bound_breaches_follow_each_metric_direction():
+    # ops_per_s: ratio 0.7 is worse than its 0.25 bound; peak_rss_mb: ratio
+    # 1.05 is within its 0.1 bound, and 1.2 is not
+    runs = []
+    for seed, p in enumerate(PARENT):
+        runs.append(record("parent", seed, p, 30.0))
+        runs.append(record("change", seed, 0.7 * p, 31.5))
+    bounds = {"ops_per_s": 0.25, "peak_rss_mb": 0.1}
+    s = bench_pairs.summarize(runs, METRICS, bounds)["campaign"]
+    assert s["bound_breaches"] == ["ops_per_s"]
+    for run in runs[1::2]:
+        run["result"]["metrics"]["peak_rss_mb"]["value"] = 36.0
+        run["result"]["metrics"]["ops_per_s"]["value"] *= 1.1
+    s = bench_pairs.summarize(runs, METRICS, bounds)["campaign"]
+    assert s["bound_breaches"] == ["peak_rss_mb"]
+    # a metric without a bound is never flagged
+    assert bench_pairs.summarize(runs, METRICS)["campaign"]["bound_breaches"] \
+        == []
+
+
+def test_rss_per_pass_predicts_the_change_from_its_passes():
+    # the parent holds 20 MB plus 0.5 MB per pass; the change runs twice
+    # the passes and holds 1 MB more than they predict
+    runs = []
+    for seed in range(5):
+        passes = 10 + seed
+        runs.append(record("parent", seed, 100, 20 + 0.5 * passes,
+                           passes=passes))
+        runs.append(record("change", seed, 120, 21 + passes, passes=2 * passes))
+    rss = bench_pairs.summarize(runs, METRICS)["campaign"]["rss_per_pass"]
+    assert rss == {"parent_slope_mb": 0.5, "parent_intercept_mb": 20.0,
+                   "change_predicted_median": 32.0,
+                   "change_measured_median": 33.0,
+                   "measured_over_predicted": 1.0312}
+
+
+def test_rss_per_pass_needs_two_parent_pass_counts():
+    runs = [record(side, seed, 100, 30.0, passes=12)
+            for seed in range(3) for side in ("parent", "change")]
+    assert bench_pairs.summarize(runs, METRICS)["campaign"]["rss_per_pass"] \
+        is None

@@ -1,6 +1,7 @@
 """Initial forms, tropical membership, Groebner cones, fan traversal."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,11 @@ from tropgen.generic import (
     transform_ideal,
     trial_seed,
 )
-from tropgen.groebner import buchberger
+from tropgen.groebner import LiftError, buchberger
 from tropgen.halfspaces import find_point
 from tropgen.linalg import QQ, vec_dot
 from tropgen.poly import (GREVLEX, Ideal, TermOrder, parse_ideal_file,
-                          parse_polynomial)
+                          parse_polynomial, weight_order)
 from tropgen.weights import (
     BudgetExceededError,
     IncompleteFanError,
@@ -353,6 +354,73 @@ class TestFanEnumeration:
             p = find_point(3, equalities=c.equalities, strict=c.inequalities)
             q = tuple(2 * x for x in p)
             assert in_tropical_variety(ideal, p) == in_tropical_variety(ideal, q)
+
+
+class TestLift:
+    """groebner.lift's precondition: p = initial.order.weights[0] lies in
+    the closed cone of gb, and initial is a basis of in_p(I)."""
+
+    def test_weight_outside_the_closed_cone_raises(self):
+        # x1^2 is a tail term of the unit-weight basis whose head is x3*x4:
+        # at p = e4 it weighs 0 against the head's 1
+        J = transformed_corpus_ideal("ci_n4_dim2")
+        _, gb = _generic_start(J)
+        p, row = (0, 0, 0, 1), (1, -1, 0, 0)
+        initial = buchberger(initial_forms(gb, p), weight_order(p, row))
+        with pytest.raises(LiftError, match=r"p = \(0, 0, 0, 1\).*"
+                           r"x\^\(2, 0, 0, 0\)"):
+            groebner.lift(initial, gb)
+
+    def test_initial_basis_of_another_ideal_raises(self):
+        # x1 is not in in_p(I), whose generators have degree 2
+        J = transformed_corpus_ideal("ci_n4_dim2")
+        cone, gb = _generic_start(J)
+        p = _order_point(cone, gb.order.weights)
+        initial = buchberger([P("x1", 4)], weight_order(p))
+        with pytest.raises(LiftError, match=r"x\^\(1, 0, 0, 0\), "
+                           r"p = \(4, 4, 2, 1\)"):
+            groebner.lift(initial, gb)
+
+
+# (generators of I, cones of g(I)'s fan, stride of the flips checked
+# against fresh bases: every flip of the small walk, a sample of one large
+# walk's flips, none of the other's)
+FIVE_VARIABLE_WALKS = [
+    (("x1^2 + x2*x3", "x4^2 + x3*x5"), 80, 8),
+    (("x1*x2", "x3*x4"), 80, 0),
+    (("x1 + x2 + x3", "x2*x4 + x5^2"), 20, 1),
+]
+FIVE_VARIABLE_BUDGET = 10.0
+
+
+class TestFiveVariableWalks:
+    """Fan walks of g(I) for n = 5, past the corpus's n <= 4: the cone
+    counts, and lifted flips against fresh bases, within a time budget."""
+
+    @pytest.mark.parametrize("texts,cones,stride", FIVE_VARIABLE_WALKS)
+    def test_cone_count_and_lifted_flips(self, texts, cones, stride,
+                                         monkeypatch):
+        t0 = time.perf_counter()
+        J = transform_ideal(I(5, *texts),
+                            random_transform(5, 50, trial_seed(1, 0)))
+        flips, flip = [], weights._flip
+
+        def recorded(cone, gb, row, p):
+            other, other_gb = flip(cone, gb, row, p)
+            flips.append((row, p, other, other_gb))
+            return other, other_gb
+        monkeypatch.setattr(weights, "_flip", recorded)
+        fan = enumerate_groebner_fan(J)
+        monkeypatch.undo()
+        assert len(fan.cones) == len(flips) + 1 == cones
+        for row, p, other, lifted in flips[::stride] if stride else ():
+            fresh = weight_gb(J, p, row)
+            assert lifted.heads == fresh.heads, row
+            assert lifted.elements == fresh.elements, row
+            assert other == groebner_cone(fresh)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < FIVE_VARIABLE_BUDGET, \
+            f"exceeded {FIVE_VARIABLE_BUDGET}s budget: {elapsed:.1f}s"
 
 
 class TestNormalization:

@@ -12,9 +12,15 @@ two sides run once each; the parent runs first on even pair indices and
 the change first on odd ones.  Each run keeps its stamp line (with the
 pass count and output digest) and its final JSON line.
 
-The output holds ``runs``, a ``summary`` per workload (per end-to-end
-metric of the change's BENCHMARK.json: wins of the change, each side's
-median and quartiles, the ratio of medians) and the ``claim``: over at
+The output holds ``runs``, a ``summary`` per workload and the
+``claim``.  The summary gives, per end-to-end metric of the change's
+BENCHMARK.json, wins of the change, each side's median and quartiles and
+the ratio of medians, and lists under ``bound_breaches`` every metric
+whose ratio of medians is worse than its ``bound``.  Under
+``rss_per_pass`` it fits ``peak_rss_mb`` to the pass count over the
+parent's runs by least squares and sets the change's RSS predicted from
+its own pass counts beside the measured one, which tells memory held per
+extra pass from memory the change holds.  The claim holds when, over at
 least 10 pairs, the change wins at least 9 in 10, ties counting for
 neither, and the medians differ, in the better direction, by more than
 the distance between the parent's quartiles.  It also holds the work one
@@ -173,10 +179,45 @@ def metric_summary(pairs, better):
     }
 
 
-def summarize(runs, metrics):
+def breached(s, bound):
+    """Whether a metric_summary's ratio of medians is worse than 1 by
+    more than bound, in its `better` direction."""
+    ratio = s["ratio_of_medians"]
+    if ratio is None:
+        return False
+    return ratio < 1 - bound if s["better"] == "higher" else ratio > 1 + bound
+
+
+def _rss(run):
+    return run["result"]["metrics"]["peak_rss_mb"]["value"]
+
+
+def rss_per_pass(pairs):
+    """peak_rss_mb against passes: the least-squares line over the parent
+    runs of (parent, change) run pairs, and the medians of the change's
+    RSS as that line predicts it from the change's pass counts and as
+    measured; None unless the parent ran at least two pass counts."""
+    passes = [p["stamp"]["passes"] for p, _ in pairs]
+    try:
+        slope, intercept = statistics.linear_regression(
+            passes, [_rss(p) for p, _ in pairs])
+    except statistics.StatisticsError:
+        return None
+    predicted = statistics.median(intercept + slope * c["stamp"]["passes"]
+                                  for _, c in pairs)
+    measured = statistics.median(_rss(c) for _, c in pairs)
+    return {"parent_slope_mb": _r(slope), "parent_intercept_mb": _r(intercept),
+            "change_predicted_median": _r(predicted),
+            "change_measured_median": _r(measured),
+            "measured_over_predicted": _r(measured / predicted)}
+
+
+def summarize(runs, metrics, bounds=None):
     """Per workload: a metric_summary per (name, better) of `metrics`,
-    the pass counts, failed ops, correctness and whether the two sides'
-    pass-0 digests matched in every pair."""
+    the names of those whose bound (by name in `bounds`) is breached, RSS
+    per pass, the pass counts, failed ops, correctness and whether the two
+    sides' pass-0 digests matched in every pair."""
+    bounds = bounds or {}
     by_seed = {}
     for run in runs:
         by_seed.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run
@@ -190,6 +231,9 @@ def summarize(runs, metrics):
             name: metric_summary([tuple(r["result"]["metrics"][name]["value"]
                                         for r in pair) for pair in ps], better)
             for name, better in metrics}
+        out["bound_breaches"] = [name for name, _ in metrics if name in bounds
+                                 and breached(out[name], bounds[name])]
+        out["rss_per_pass"] = rss_per_pass(ps)
         sides = ("parent", "change")
         out["passes"] = {side: sorted(pair[i]["stamp"]["passes"] for pair in ps)
                          for i, side in enumerate(sides)}
@@ -241,6 +285,8 @@ def main(argv=None):
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]
+              if "bound" in m}
     seconds = bench["run_seconds"]
     doc = {
         "change": args.describe,
@@ -260,7 +306,7 @@ def main(argv=None):
     runs = []
 
     def write():
-        doc["summary"] = summarize(runs, metrics)
+        doc["summary"] = summarize(runs, metrics, bounds)
         if args.claim:
             workload, _, metric = args.claim.partition(":")
             if workload in doc["summary"]:
