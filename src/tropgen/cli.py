@@ -9,10 +9,11 @@ fan walk is incomplete (no cone across a facet, or a cone with an
 equality), 2 parse or usage error (a
 TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
 --bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
---criteria number outside 1..10, a matrix without 1 <= r <= n - 1
-independent rows, an input file that is not UTF-8, a malformed integer
-literal (poly.integer_literal: 1_0, a non-ASCII digit), an integer literal
-longer than Python converts, an --out path that cannot be written), 3 improper
+--criteria number outside 1..10 or an empty --criteria, a matrix without
+1 <= r <= n - 1 independent rows, an input file that is not UTF-8, a
+malformed integer literal (poly.integer_literal: 1_0, a non-ASCII digit),
+an integer literal longer than Python converts, an --out path that cannot
+be written), 3 improper
 ideal (contains a unit) or, for linear -w, a matrix that fails the closed
 form's genericity condition (a vanishing right-block entry or maximal
 minor), 4 persistent transform disagreement or no suitable random
@@ -375,7 +376,7 @@ def cmd_principal(args) -> int:
 def cmd_verify_corpus(args) -> int:
     t0 = time.perf_counter()
     corpus = Corpus(args.corpus)
-    numbers = _integer_list(args.criteria) if args.criteria else None
+    numbers = None if args.criteria is None else _integer_list(args.criteria)
     session = VerifySession(corpus, seed=args.seed, trials=args.trials,
                             bound=args.bound, grid=args.grid)
     results = session.run(numbers)

@@ -8,8 +8,9 @@ deterministic.  Heads are the terms of least key under the order (see
 poly); for weight-refined orders on homogeneous input this marks the terms
 of minimal weight.
 
-The engine is fraction-free.  Inside buchberger, lift and normal_form an
-element is a primitive integer polynomial, kept as its head
+The engine is fraction-free, with one division routine, _reduce, which
+serves buchberger, _interreduce, normal_form and lift.  There an element
+is a primitive integer polynomial, kept as its head
 x^h, a positive head coefficient a and an integer tail (its exponents and
 its coefficients as two tuples, so that converting a basis makes no tuple
 per term for Python's free lists to keep).  Reducing a term c*x^e by it
@@ -23,7 +24,8 @@ head coefficient once, so every MarkedGB is monic on its heads (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 7),
 with Fraction coefficients.  normal_form and lift read a MarkedGB's
 integer elements, converted once per basis; lift splits them by a weight
-p, once per call, and divides only p-initial parts (see lift).
+p, once per call, into the p-initial part that _reduce divides and a
+pass-through part it carries to the remainder (see lift).
 """
 
 from __future__ import annotations
@@ -80,16 +82,17 @@ def integral_coefficients(p: Polynomial) -> tuple:
 
 
 def _primitive(coeffs: dict, h) -> tuple:
-    """(a, exps, cs) of the primitive integer multiple of the polynomial
-    with these integer coefficients (consumed) whose coefficient a on its
-    head x^h is positive; its tail has the terms cs[i]*x^exps[i]."""
+    """(a, exps, cs, (), ()) of the primitive integer multiple of the
+    polynomial with these integer coefficients (consumed) whose coefficient
+    a on its head x^h is positive; its tail has the terms cs[i]*x^exps[i],
+    and its pass-through part (see _reduce) is empty."""
     g = 0
     for c in coeffs.values():
         g = gcd(g, c)
     if coeffs[h] < 0:
         g = -g
     a = coeffs.pop(h)
-    return a // g, tuple(coeffs), tuple([c // g for c in coeffs.values()])
+    return a // g, tuple(coeffs), tuple([c // g for c in coeffs.values()]), (), ()
 
 
 def _elements(polys, heads) -> list:
@@ -116,12 +119,14 @@ def _reduce(work: dict, basis, heads, order: TermOrder) -> tuple:
     for the integer polynomial p whose coefficients work holds, and an
     integer s > 0.  work is consumed.
 
-    Each basis element is a*x^h + tail with a > 0 and every tail term
-    smaller than x^h under order.  A term c*x^e that x^h divides is removed
-    by scaling everything by a/gcd(a, c) and subtracting
-    (c/gcd(a, c))*x^(e - h)*(a*x^h + tail), which leaves only terms smaller
-    than x^e.  Terms are taken largest first (least key first), so each
-    monomial leaves work once, to be reduced or to enter the remainder."""
+    Each basis element is a*x^h + tail + pass with a > 0, every tail term
+    smaller than x^h under order and a pass-through part pass, empty but in
+    lift.  A term c*x^e that x^h divides is removed by scaling everything by
+    a/gcd(a, c) and subtracting (c/gcd(a, c))*x^(e - h) times a*x^h + tail
+    from work, which leaves only terms smaller than x^e, and that multiple
+    of pass from r, which is never reduced.  Terms are taken largest first
+    (least key first), so each monomial leaves work once, to be reduced or
+    to enter the remainder."""
     remainder = {}
     scale = 1
     while work:
@@ -129,14 +134,16 @@ def _reduce(work: dict, basis, heads, order: TermOrder) -> tuple:
         c = work.pop(exp)
         for g, h in zip(basis, heads):
             if monomial_divides(h, exp):
-                a, exps, cs = g
+                a, exps, cs, pass_exps, pass_cs = g
                 k = gcd(a, c)
                 if k != a:
                     s = a // k
                     scale *= s
                     work = {e: s * v for e, v in work.items()}
                     remainder = {e: s * v for e, v in remainder.items()}
-                _add_shifted_tail(work, exps, cs, monomial_div(exp, h),
+                shift = monomial_div(exp, h)
+                _add_shifted_tail(work, exps, cs, shift, -(c // k))
+                _add_shifted_tail(remainder, pass_exps, pass_cs, shift,
                                   -(c // k))
                 break
         else:
@@ -187,7 +194,7 @@ def buchberger(generators, order: TermOrder) -> MarkedGB:
             continue
         # the S-pair: a_j*x^(l - hi)*f_i - a_i*x^(l - hj)*f_j over
         # gcd(a_i, a_j), whose heads cancel, leaving the shifted tails
-        (ai, ei, ci), (aj, ej, cj) = basis[i], basis[j]
+        (ai, ei, ci, _, _), (aj, ej, cj, _, _) = basis[i], basis[j]
         c = gcd(ai, aj)
         work = {}
         _add_shifted_tail(work, ei, ci, monomial_div(l, hi), aj // c)
@@ -216,12 +223,11 @@ def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
     Thomas, "Computing Groebner fans", 2007, section 3).
 
     Each element g of gb splits into its head, the tail terms of the
-    head's p-weight, which complete in_p(g), and the rest, of larger
-    p-weight.  The in_p(g) are a Groebner basis of in_p(I) for gb's order,
-    so dividing a p-homogeneous h in initial by them, largest term first
-    and with _reduce's fraction-free scaling, reaches 0; each step's
-    multiple of the rest of g goes to an accumulated rest, which is never
-    reduced.  With d clearing h's denominators and s the scale of the
+    head's p-weight, which complete in_p(g), and a pass-through part, the
+    terms of larger p-weight.  The in_p(g) are a Groebner basis of in_p(I)
+    for gb's order, so _reduce divides a p-homogeneous h in initial by them
+    to 0, and its remainder, rest, holds the multiples of the pass-through
+    parts.  With d clearing h's denominators and s the scale of the
     division, f = s*(d*h) - rest = sum of q_g*g lies in I, and every term
     of the rest has larger p-weight than h, so in_p(f) = s*d*h.  The f are
     a minimal Groebner basis of I for initial's order, and inter-reducing
@@ -231,10 +237,10 @@ def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
     p than its head (p is outside the closed cone) or no head of gb
     divides a p-initial term (initial is not a basis of in_p(I))."""
     p = initial.order.weights[0]
-    # per element of gb: its head and a, then the tail of in_p(g) and the
-    # rest, each as exponents and coefficients
+    # per element of gb: a, the tail of in_p(g) and the pass-through part,
+    # each as exponents and coefficients
     split = []
-    for (a, exps, cs), h in zip(gb.integer_elements, gb.heads):
+    for (a, exps, cs, _, _), h in zip(gb.integer_elements, gb.heads):
         ph = sum(map(mul, p, h))
         tail, higher = {}, {}
         for e, c in zip(exps, cs):
@@ -244,31 +250,18 @@ def lift(initial: MarkedGB, gb: MarkedGB) -> MarkedGB:
                     f"p = {p} is outside the closed Groebner cone: the tail "
                     f"term x^{e} weighs less than its head x^{h}")
             (higher if d else tail)[e] = c
-        split.append((h, a, tuple(tail), tuple(tail.values()),
+        split.append((a, tuple(tail), tuple(tail.values()),
                       tuple(higher), tuple(higher.values())))
     lifted = []
     for h, head in zip(initial.elements, initial.heads):
         f, _ = integral_coefficients(h)
-        work, rest, scale = dict(f), {}, 1
-        while work:
-            exp = min(work, key=gb.order.key)
-            c = work.pop(exp)
-            for hg, a, tail_e, tail_c, rest_e, rest_c in split:
-                if monomial_divides(hg, exp):
-                    k = gcd(a, c)
-                    if k != a:
-                        s = a // k
-                        scale *= s
-                        work = {e: s * v for e, v in work.items()}
-                        rest = {e: s * v for e, v in rest.items()}
-                    shift = monomial_div(exp, hg)
-                    _add_shifted_tail(work, tail_e, tail_c, shift, -(c // k))
-                    _add_shifted_tail(rest, rest_e, rest_c, shift, -(c // k))
-                    break
-            else:
+        rest, scale = _reduce(dict(f), split, gb.heads, gb.order)
+        ph = sum(map(mul, p, head))
+        for e in rest:
+            if sum(map(mul, p, e)) == ph:
                 raise LiftError(
                     f"no head of the basis divides the p-initial term "
-                    f"x^{exp}, p = {p}: the initial basis is not a basis "
+                    f"x^{e}, p = {p}: the initial basis is not a basis "
                     f"of in_p(I)")
         f = {e: scale * c for e, c in f.items()}
         f.update((e, -c) for e, c in rest.items())
@@ -289,7 +282,7 @@ def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
     basis = [basis[i] for i in keep]
     heads = [heads[i] for i in keep]
     combined = []
-    for i, ((a, exps, cs), h) in enumerate(zip(basis, heads)):
+    for i, ((a, exps, cs, _, _), h) in enumerate(zip(basis, heads)):
         r, s = _reduce(dict(zip(exps, cs)), basis[:i] + basis[i + 1:],
                        heads[:i] + heads[i + 1:], order)
         r = {e: QQ(c, a * s) for e, c in r.items()}
@@ -336,24 +329,15 @@ def contains_monomial(generators) -> bool:
     return any(len(g.terms) == 1 for g in basis)
 
 
-def minimal_monomial_generators(exponents) -> tuple:
-    """Minimal generating set of the monomial ideal the exponents generate."""
-    uniq = sorted(set(exponents), key=lambda e: (monomial_degree(e), e))
-    out = []
-    for e in uniq:
-        if not any(monomial_divides(m, e) for m in out):
-            out.append(e)
-    return tuple(out)
-
-
 def monomial_ideal_dimension(n: int, generators) -> int:
     """Krull dimension of R/(monomial ideal): the largest coordinate
     subspace {x_i : i in S} meeting the variety, i.e. n minus the fewest
-    variables that meet every generator support."""
-    gens = minimal_monomial_generators(generators)
-    if any(e == (0,) * n for e in gens):
+    variables that meet every generator support.  A variable set that
+    meets a support meets every larger one, so any generators, minimal or
+    not (the heads of a reduced basis are minimal), give the same answer."""
+    supports = {frozenset(i for i, k in enumerate(e) if k) for e in generators}
+    if frozenset() in supports:
         raise ImproperIdealError("ideal is the whole ring")
-    supports = [frozenset(i for i, k in enumerate(e) if k > 0) for e in gens]
     return n - _fewest_meeting_variables(supports)
 
 
@@ -369,7 +353,5 @@ def _fewest_meeting_variables(supports) -> int:
 
 def krull_dimension(ideal: Ideal) -> int:
     """Krull dimension of R/I via the heads of a graded reverse-lex basis."""
-    gb = buchberger(ideal.generators, GREVLEX)
-    if any(h == (0,) * gb.n for h in gb.heads):
-        raise ImproperIdealError("ideal is the whole ring")
-    return monomial_ideal_dimension(ideal.n, gb.heads)
+    return monomial_ideal_dimension(ideal.n,
+                                    buchberger(ideal.generators, GREVLEX).heads)

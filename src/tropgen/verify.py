@@ -164,7 +164,10 @@ class VerifySession:
         self._campaign_reports = {}
 
     def run(self, numbers=None):
-        numbers = sorted(set(numbers or CRITERION_NAMES))
+        numbers = sorted(set(CRITERION_NAMES if numbers is None else numbers))
+        if not numbers:
+            raise ParseError(f"no criterion selected: criteria are "
+                             f"1..{max(CRITERION_NAMES)}", 0)
         for k in numbers:
             if k not in CRITERION_NAMES:
                 raise ParseError(f"no criterion {k}: criteria are "

@@ -51,6 +51,12 @@ def test_run_rejects_an_unknown_criterion_before_running_any():
     assert session._campaign_reports == {}
 
 
+def test_run_rejects_an_empty_selection():
+    # an empty selection would pass every check on nothing
+    with pytest.raises(ParseError, match="no criterion selected"):
+        VerifySession(Corpus(CORPUS)).run([])
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3)

@@ -648,6 +648,13 @@ class TestVerifyCorpus:
         assert code == 2 and out == ""
         assert err.startswith("error: no criterion ") and "1..10" in err
 
+    def test_empty_criteria_exit_2(self, capsys):
+        # an empty selection is a usage error, not a run of every criterion
+        code, out, err = run(capsys, "verify-corpus", str(CORPUS),
+                             "--criteria", "")
+        assert (code, out) == (2, "")
+        assert err == "error: '' is not an integer literal (at position 0)\n"
+
     def test_repeated_criterion_runs_once(self, capsys):
         code, out, _ = run(capsys, "verify-corpus", str(CORPUS), "--criteria",
                            "7,3,7", "--json")

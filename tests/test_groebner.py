@@ -17,7 +17,6 @@ from tropgen.groebner import (
     buchberger,
     contains_monomial,
     krull_dimension,
-    minimal_monomial_generators,
     monomial_ideal_dimension,
     normal_form,
 )
@@ -410,15 +409,14 @@ class TestDimension:
         assert monomial_ideal_dimension(3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == 1
         assert monomial_ideal_dimension(2, [(1, 0), (0, 1)]) == 0
         assert monomial_ideal_dimension(2, [(1, 1)]) == 1
+        # not minimal: (x1) is generated by x1 alone
+        assert monomial_ideal_dimension(2, [(2, 0), (1, 0), (1, 1)]) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(monomial_ideals())
     def test_monomial_dimension_matches_mask_loop(self, case):
         n, gens = case
         assert monomial_ideal_dimension(n, gens) == mask_dimension(n, gens)
-
-    def test_minimal_generators(self):
-        assert minimal_monomial_generators([(2, 0), (1, 0), (1, 1)]) == ((1, 0),)
 
     def test_corpus_dimensions(self):
         assert krull_dimension(I(2, "x1", "x2")) == 0
@@ -440,50 +438,6 @@ class TestDimension:
             w = tuple(rng.randint(-4, 4) for _ in range(3))
             gb = buchberger(ideal.generators, weight_order(w))
             assert monomial_ideal_dimension(3, gb.heads) == base
-
-
-@pytest.fixture(scope="module")
-def sympy_basis():
-    """basis(n, generators, order): the reduced basis sympy.groebner
-    finds, as a set of polynomials monic under order."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.orderings import MonomialOrder
-
-    class Order(MonomialOrder):
-        """A term order for sympy, whose leading monomial maximizes the
-        key: the largest degree, then the least weight under each weight
-        vector in turn, then the fewest xn, x(n-1), ... (reverse lex),
-        written out here rather than read from TermOrder.key."""
-
-        def __init__(self, order):
-            self.order = order
-
-        def __call__(self, monomial):
-            return (sum(monomial),
-                    tuple(-sum(a * b for a, b in zip(w, monomial))
-                          for w in self.order.weights),
-                    tuple(-x for x in reversed(monomial)))
-
-        # sympy caches polynomial rings by their order, and MonomialOrder
-        # compares by class only
-        def __eq__(self, other):
-            return isinstance(other, Order) and other.order == self.order
-
-        def __hash__(self):
-            return hash(self.order)
-
-    def basis(n, generators, order):
-        xs = sympy.symbols(f"x1:{n + 1}")
-        polys = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator,
-                                                         c.denominator)
-                                       for e, c in g.terms}, xs)
-                 for g in generators]
-        G = sympy.groebner(polys, *xs, order=Order(order))
-        return {Polynomial.from_dict(n, {e: QQ(int(c.p), int(c.q))
-                                         for e, c in g.terms()}).monic(order)
-                for g in G.polys}
-
-    return basis
 
 
 class TestSympyOracle:

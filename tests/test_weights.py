@@ -382,6 +382,41 @@ class TestLift:
             groebner.lift(initial, gb)
 
 
+# (corpus ideal, facets of the maximal cones of its seed-1 g(I)'s fan),
+# each ideal's flips with their sympy checks within SYMPY_FLIP_BUDGET
+# seconds
+SYMPY_FLIP_IDEALS = [("ci_n4_dim2", 108), ("coordinate_lines_n3", 18),
+                    ("hypersurface_n3", 6)]
+SYMPY_FLIP_BUDGET = 10.0
+
+
+class TestLiftedFlipsMatchSympy:
+    """The flip across every facet of every cone a fan walk finds lifts
+    sympy.groebner's reduced basis for the flip's order: an oracle outside
+    the engine, where test_lifted_flip_is_the_fresh_basis compares with
+    weight_gb.  The walk's own flips are among these, since the reduced
+    basis of a cone does not depend on the order that reaches it."""
+
+    @pytest.mark.parametrize("name,count", SYMPY_FLIP_IDEALS)
+    def test_every_lifted_flip_is_sympys_basis(self, sympy_basis, name,
+                                               count):
+        t0 = time.perf_counter()
+        J = transformed_corpus_ideal(name)
+        flips = 0
+        for cone, gb, row, p in facets_with_bases(J):
+            _, lifted = _flip(cone, gb, row, p)
+            order = lifted.order
+            assert set(lifted.elements) == sympy_basis(J.n, J.generators,
+                                                       order), row
+            assert lifted.heads == tuple(g.head_monomial(order)
+                                         for g in lifted.elements), row
+            flips += 1
+        assert flips == count
+        elapsed = time.perf_counter() - t0
+        assert elapsed < SYMPY_FLIP_BUDGET, \
+            f"exceeded {SYMPY_FLIP_BUDGET}s budget: {elapsed:.1f}s"
+
+
 # (generators of I, cones of g(I)'s fan, stride of the flips checked
 # against fresh bases: every flip of the small walk, a sample of one large
 # walk's flips, none of the other's)
