@@ -7,7 +7,8 @@ runs with the same input, seed and flags.
 Exit codes: 0 success / all checks passed, 1 a check failed or a Groebner
 fan walk is incomplete (no cone across a facet, or a cone with an
 equality), 2 parse or usage error (a
-TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, --trials,
+TROPGEN_BUDGET that is not an integer >= 1, --grid below 0, a grid of
+more than weights.MAX_GRID_POINTS points, (2*grid + 1)^n, --trials,
 --bound or fan wn --n below 1, a fan wn --skeleton outside 0..n, a
 --criteria number outside 1..10 or an empty --criteria, a matrix without
 1 <= r <= n - 1 independent rows, an input file that is not UTF-8, a
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import count
 from math import comb
 
 from . import __version__
@@ -46,14 +46,12 @@ from .generic import (
     check_symmetry,
     generic_membership_map,
 )
-from .groebner import (MarkedGB, contains_monomial, krull_dimension,
-                       normal_form)
-from .linalg import QQ, rref
+from .groebner import contains_monomial, krull_dimension
+from .linalg import rref
 from .poly import (
     Ideal,
     ImproperIdealError,
     ParseError,
-    Polynomial,
     integer_literal,
     parse_ideal_file,
     read_input,
@@ -71,6 +69,7 @@ from .verify import Corpus, VerifySession
 from .weights import (
     BudgetExceededError,
     BudgetSettingError,
+    GridSizeError,
     IncompleteFanError,
     enumerate_groebner_fan,
     fan_budget,
@@ -95,6 +94,7 @@ FAILURES = {
     ParseError: (EXIT_PARSE, ""),
     BudgetSettingError: (EXIT_PARSE, ""),
     UsageError: (EXIT_PARSE, ""),
+    GridSizeError: (EXIT_PARSE, "; try a smaller --grid"),
     ImproperIdealError: (EXIT_IMPROPER, ""),
     NonGenericMatrixError: (EXIT_IMPROPER, ""),
     DisagreementError: (EXIT_DISAGREE, ""),
@@ -216,34 +216,17 @@ def cmd_dim(args) -> int:
     return EXIT_OK
 
 
-def _monomial_certificate(initial: MarkedGB):
-    """A monomial, coefficient 1, of in_w(I), for w outside the variety
-    and initial a marked Groebner basis of in_w(I)."""
-    for g in initial.elements:
-        if len(g.terms) == 1:
-            return g.monic()
-    # the smallest power of x1*..*xn in in_w(I); the search ends, since a
-    # monomial m of in_w(I) divides (x1*..*xn)^k for k its largest exponent
-    n = initial.n
-    for k in count(1):
-        mono = Polynomial(n, ((tuple([k] * n), QQ(1)),))
-        if normal_form(mono, initial).is_zero:
-            return mono
-
-
 def cmd_member(args) -> int:
     ideal = _load_ideal(args.ideal)
     w = _parse_weight(args.weight, ideal.n)
-    # one w-refined basis gives the verdict and the certificate: its initial
-    # forms, on its heads, are a basis of in_w(I) (see weights.MembershipMap)
-    gb = weight_gb(ideal, w)
-    initial = MarkedGB(gb.n, gb.order, initial_forms(gb, w), gb.heads)
-    inside = not contains_monomial(initial.elements)
+    # one saturation of in_w(I), which the w-refined basis's initial forms
+    # generate (see weights.MembershipMap), finds the certificate, if any
+    cert = contains_monomial(initial_forms(weight_gb(ideal, w), w))
+    inside = cert is None
     report = _base_report(args)
     report.update({"command": "member", "weight": list(w), "member": inside})
     lines = [f"w = {w}: {'true' if inside else 'false'}"]
     if not inside:
-        cert = _monomial_certificate(initial)
         report["certificate"] = list(cert.terms[0][0])
         lines.append(f"certificate monomial: {cert}")
     _emit(args, report, lines)

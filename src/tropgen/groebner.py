@@ -1,6 +1,6 @@
 """Buchberger's algorithm with marked heads, plus ideal-theoretic queries:
-dimension, and monomial containment by saturation in the homogeneous
-ideal's own ring.
+dimension, and a monomial of a homogeneous ideal, or None, found by
+saturation in the ideal's own ring.
 
 A reduced marked Groebner basis is unique for a given ideal and term order,
 so downstream computations (dimensions, cones, initial ideals) are
@@ -294,13 +294,16 @@ def _interreduce(n: int, basis, heads, order: TermOrder) -> MarkedGB:
     return MarkedGB(n, order, elements, heads)
 
 
-def contains_monomial(generators) -> bool:
-    """True iff the homogeneous ideal J the generators span contains a
-    monomial, which holds iff its saturation by xn, ..., x1 in turn is 1.
-    Saturating keeps "contains a monomial": a single-term element of a
-    saturation has a multiple in J.  So a round may answer early: a
-    principal ideal (g) contains a monomial iff g is one, since k[x] is a
-    UFD.  A round whose generators are x_i-homogeneous, each x_i^a_j h_j
+def contains_monomial(generators) -> Polynomial | None:
+    """A monomial, coefficient 1, of the homogeneous ideal J the generators
+    span, or None if J has none, which holds iff its saturation by xn, ...,
+    x1 in turn is not 1.  A round divides each element f of its ideal by
+    some x_i^k with k <= K, the largest power it divides out, and
+    x_i^K (f / x_i^k) = x_i^(K - k) f is back in that ideal; so, for shift
+    the product of the rounds' x_i^K, shift times any element of any round
+    lies in J, and the first single-term element times shift is returned.
+    So a round may answer early: a principal ideal (g) contains a monomial
+    iff g is one, since k[x] is a UFD.  A round whose generators are x_i-homogeneous, each x_i^a_j h_j
     with h_j free of x_i, runs no Buchberger: their ideal K is graded by
     x_i-degree, and for x_i-homogeneous f = x_i^d p with x_i^k f = sum of
     c_j x_i^a_j h_j, setting x_i = 1 puts p, so f, in (h_j); hence
@@ -314,6 +317,7 @@ def contains_monomial(generators) -> bool:
     saturation is 1 iff one of them is a constant."""
     n = generators[0].n
     basis = [g for g in generators if not g.is_zero]
+    shift = [0] * n
     for i in reversed(range(n)):
         if len(basis) < 2 or any(len(g.terms) == 1 for g in basis):
             break
@@ -323,10 +327,14 @@ def contains_monomial(generators) -> bool:
         divided = []
         for g in basis:
             k = min(e[i] for e, _ in g.terms)
+            shift[i] = max(shift[i], k)
             divided.append(Polynomial.from_dict(
                 n, {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in g.terms}))
         basis = divided
-    return any(len(g.terms) == 1 for g in basis)
+    for g in basis:
+        if len(g.terms) == 1:
+            return Polynomial(n, ((monomial_mul(g.terms[0][0], shift), ONE),))
+    return None
 
 
 def monomial_ideal_dimension(n: int, generators) -> int:

@@ -153,13 +153,6 @@ class Polynomial:
     def support(self) -> frozenset:
         return frozenset(e for e, _ in self.terms)
 
-    def monic(self, order: TermOrder = GREVLEX) -> "Polynomial":
-        """Scale so the head coefficient (w.r.t. order) is 1."""
-        if not self.terms:
-            return self
-        c = dict(self.terms)[self.head_monomial(order)]
-        return Polynomial(self.n, tuple((e, co / c) for e, co in self.terms))
-
     def head_monomial(self, order: TermOrder) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no head")

@@ -306,7 +306,7 @@ class VerifySession:
         if len(ideals) < 20:
             return (False, f"only {len(ideals)} oracle ideals")
         for gens, n in ideals:
-            fast = contains_monomial(gens)
+            fast = contains_monomial(gens) is not None
             slow = _brute_force_contains_monomial(gens, n, max_degree=6)
             if fast != slow:
                 return (False, f"disagreement on {[str(g) for g in gens]}: "

@@ -73,7 +73,7 @@ def initial_forms(gb: MarkedGB, w) -> tuple:
 
 def in_tropical_variety(ideal: Ideal, w) -> bool:
     """w lies in T(I) iff in_w(I) contains no monomial."""
-    return not contains_monomial(initial_forms(weight_gb(ideal, w), w))
+    return contains_monomial(initial_forms(weight_gb(ideal, w), w)) is None
 
 
 def head_rows(gb: MarkedGB) -> tuple:
@@ -241,11 +241,26 @@ def normalize_grid_point(w):
     return tuple(x // g for x in shifted)
 
 
+# the most points a grid [-radius, radius]^n may have, counted before any is
+# built: 45 times the largest campaign timed (n = 7 at radius 1)
+MAX_GRID_POINTS = 10 ** 5
+
+
+class GridSizeError(ValueError):
+    """A grid [-radius, radius]^n has more than MAX_GRID_POINTS points."""
+
+
 @cache
 def normalized_grid(n: int, radius: int) -> tuple:
     """Sorted normalized representatives of the grid [-radius, radius]^n,
     the origin first, computed once per (n, radius), so maps over one grid
-    share their keys."""
+    share their keys.  GridSizeError when the grid has more than
+    MAX_GRID_POINTS points, counted before any is built."""
+    points = (2 * radius + 1) ** n
+    if points > MAX_GRID_POINTS:
+        raise GridSizeError(
+            f"the radius-{radius} grid in {n} variables has {points} "
+            f"points, more than {MAX_GRID_POINTS}")
     return tuple(sorted({normalize_grid_point(w)
                          for w in product(range(-radius, radius + 1),
                                           repeat=n)}))
@@ -341,8 +356,8 @@ class MembershipMap:
         gb, _, faces = entry
         verdict = faces.get(tight)
         if verdict is None:
-            verdict = faces[tight] = not contains_monomial(
-                initial_forms(gb, key))
+            verdict = faces[tight] = contains_monomial(
+                initial_forms(gb, key)) is None
         else:
             outcome = "stored face"
         self.counts[outcome] += 1

@@ -43,8 +43,12 @@ def sympy_basis():
                                        for e, c in g.terms}, xs)
                  for g in generators]
         G = sympy.groebner(polys, *xs, order=Order(order))
-        return {Polynomial.from_dict(n, {e: QQ(int(c.p), int(c.q))
-                                         for e, c in g.terms()}).monic(order)
-                for g in G.polys}
+        found = set()
+        for g in G.polys:
+            coeffs = {e: QQ(int(c.p), int(c.q)) for e, c in g.terms()}
+            head = coeffs[min(coeffs, key=order.key)]
+            found.add(Polynomial.from_dict(
+                n, {e: c / head for e, c in coeffs.items()}))
+        return found
 
     return basis

@@ -6,16 +6,18 @@ import os
 import shutil
 import subprocess
 import sys
-from itertools import count
+import time
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 from tropgen import __version__, cli, groebner, weights
 from tropgen.cli import main
+from tropgen.generic import random_transform, transform_ideal, trial_seed
 from tropgen.groebner import buchberger, normal_form
 from tropgen.linalg import QQ
-from tropgen.poly import GREVLEX, Polynomial, parse_ideal_file
+from tropgen.poly import GREVLEX, Polynomial, parse_ideal_file, weight_order
 from tropgen.weights import (in_tropical_variety, initial_forms,
                              normalized_grid, weight_gb)
 
@@ -220,7 +222,8 @@ CORPUS_IDEALS = sorted(json.loads(
     (CORPUS / "manifest.json").read_text())["ideals"])
 
 # ideals with a monomial but no one-term element in their reduced bases,
-# so that the certificate at the origin is a power of x1*x2*x3
+# so that the certificate at the origin needs a saturation round (the
+# name is from the search over powers of x1*x2*x3 that once found it)
 POWER_SEARCH = {
     "power_search_1": "vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n",
     "power_search_2": "vars: 3\n2*x1 + x2 + x3\nx2*x3 + x1*x3 + x3^2\n",
@@ -228,19 +231,13 @@ POWER_SEARCH = {
 
 
 def reference_certificate(ideal, w):
-    """The certificate of in_w(I), w outside T(I), found independently of
-    the w-refined basis's order: a one-term initial form if there is one,
-    else the smallest k whose (x1*..*xn)^k has normal form 0 modulo a
-    fresh GREVLEX basis of in_w(I)."""
-    gens = initial_forms(weight_gb(ideal, w), w)
-    for g in gens:
+    """The certificate of in_w(I), w outside T(I), where no saturation
+    round is needed: the exponent of the first one-term initial form of
+    the w-refined basis, or None if there is none."""
+    for g in initial_forms(weight_gb(ideal, w), w):
         if len(g.terms) == 1:
             return list(g.terms[0][0])
-    gb = buchberger(gens, GREVLEX)
-    for k in count(1):
-        mono = Polynomial(ideal.n, ((tuple([k] * ideal.n), QQ(1)),))
-        if normal_form(mono, gb).is_zero:
-            return [k] * ideal.n
+    return None
 
 
 class TestMember:
@@ -265,17 +262,16 @@ class TestMember:
 
     def test_certificate_power_of_all_variables(self, capsys, tmp_path):
         # x1*(x2 - x3) and x2 - x3 = -2*x1 give x1^2, yet no initial
-        # generator is a single term; the certificate is (x1*x2*x3)^2
+        # generator is a single term; the saturation finds x1^2
         f = tmp_path / "ideal"
         f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
         assert code == 0 and "false" in out
-        assert "certificate monomial: x1^2*x2^2*x3^2" in out
+        assert "certificate monomial: x1^2\n" in out
 
     def test_one_basis_per_run(self, capsys, tmp_path, monkeypatch):
-        # the verdict and the certificate read the same initial forms, and
-        # the power search reduces by them: the one Buchberger run outside
-        # the saturation test is weight_gb's
+        # the verdict and the certificate come from one saturation of the
+        # initial forms: the one Buchberger run outside it is weight_gb's
         calls, runs, saturating = [], [], [False]
         weight_gb = weights.weight_gb
 
@@ -303,21 +299,22 @@ class TestMember:
         f.write_text("vars: 3\n2*x1 + x2 - x3\nx1*x2 - x1*x3\n")
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0")
         assert code == 0 and out == ("w = (0, 0, 0): false\n"
-                                     "certificate monomial: x1^2*x2^2*x3^2\n")
+                                     "certificate monomial: x1^2\n")
         assert calls == [((0, 0, 0),)]
         assert runs.count(False) == 1
         code, out, _ = run(capsys, "member", str(f), "-w", "0,0,0", "--json")
         assert code == 0 and out == json.dumps(
-            {"certificate": [2, 2, 2], "command": "member", "member": False,
+            {"certificate": [2, 0, 0], "command": "member", "member": False,
              "seed": 1, "tool": "tropgen", "version": __version__,
              "weight": [0, 0, 0]}, sort_keys=True, indent=2) + "\n"
         assert len(calls) == 2
 
     @pytest.mark.parametrize("name", [*CORPUS_IDEALS, *POWER_SEARCH])
     def test_certificate_matches_a_fresh_basis(self, capsys, tmp_path, name):
-        # every weight of the radius-1 grid outside T, on each corpus ideal
-        # and on ideals whose certificate at the origin needs the power
-        # search, against the certificate of a fresh GREVLEX basis
+        # every weight of the radius-1 grid outside T: on each corpus ideal
+        # the certificate is the one-term initial form, and on ideals whose
+        # certificate at the origin needs a saturation round it has normal
+        # form 0 modulo a fresh GREVLEX basis of the initial forms
         f = CORPUS / name
         if name in POWER_SEARCH:
             f = tmp_path / name
@@ -333,8 +330,64 @@ class TestMember:
             code, out, _ = run(capsys, "member", str(f),
                                "-w=" + ",".join(map(str, w)), "--json")
             assert code == 0
-            assert json.loads(out)["certificate"] == \
-                reference_certificate(ideal, w), w
+            cert = json.loads(out)["certificate"]
+            if name in POWER_SEARCH:
+                gb = buchberger(initial_forms(weight_gb(ideal, w), w),
+                                GREVLEX)
+                mono = Polynomial(ideal.n, ((tuple(cert), QQ(1)),))
+                assert normal_form(mono, gb).is_zero, w
+            else:
+                assert cert == reference_certificate(ideal, w), w
+
+    # seconds per ideal, at least twice the slowest measured: ci_n4_dim2
+    # took 1.2 s on one Intel Xeon core under CPython 3.11
+    SYMPY_CERTIFICATE_BUDGET = 3.0
+
+    @pytest.mark.parametrize("name", [
+        "ci_n4_dim2", "coordinate_lines_n3", "hypersurface_n3",
+        *POWER_SEARCH])
+    def test_certificate_lies_in_sympys_initial_ideal(
+            self, capsys, tmp_path, sympy_basis, name):
+        # every weight of the radius-1 grid outside T, on seed-1 trial-0
+        # transforms of corpus ideals and on the power-search ideals: sympy
+        # computes a basis of I for w's order, the initial forms at w are
+        # taken here, and sympy's basis of them contains the certificate
+        sympy = pytest.importorskip("sympy")
+        t0 = time.perf_counter()
+        if name in POWER_SEARCH:
+            ideal = parse_ideal_file(POWER_SEARCH[name])
+        else:
+            ideal = parse_ideal_file((CORPUS / name).read_text())
+            ideal = transform_ideal(ideal, random_transform(
+                ideal.n, 50, trial_seed(1, 0)))
+        n = ideal.n
+        f = tmp_path / name
+        f.write_text(f"vars: {n}\n"
+                     + "".join(f"{g}\n" for g in ideal.generators))
+        assert parse_ideal_file(f.read_text()) == ideal
+        xs = sympy.symbols(f"x1:{n + 1}")
+        checked = 0
+        for w in normalized_grid(n, 1):
+            code, out, _ = run(capsys, "member", str(f),
+                               "-w=" + ",".join(map(str, w)), "--json")
+            assert code == 0
+            data = json.loads(out)
+            if data["member"]:
+                continue
+            forms = []
+            for g in sympy_basis(n, ideal.generators, weight_order(w)):
+                dots = {e: sum(map(mul, w, e)) for e, _ in g.terms}
+                low = min(dots.values())
+                forms.append(sympy.Poly.from_dict(
+                    {e: sympy.Rational(c.numerator, c.denominator)
+                     for e, c in g.terms if dots[e] == low}, xs))
+            cert = sympy.Poly.from_dict({tuple(data["certificate"]): 1}, xs)
+            assert sympy.groebner(forms, *xs, order="grevlex").contains(
+                cert), w
+            checked += 1
+        assert checked
+        elapsed = time.perf_counter() - t0
+        assert elapsed < self.SYMPY_CERTIFICATE_BUDGET, elapsed
 
     def test_weight_length_mismatch(self, capsys):
         code, _, _ = run(capsys, "member", str(CORPUS / "monomial_x1x2"),
@@ -369,6 +422,24 @@ class TestGeneric:
                              "--json", flag, value)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag} must be >= ")
+
+    @pytest.mark.parametrize("text, flags, n, radius", [
+        # the default --grid 3 in 10 variables
+        ("vars: 10\nx1*x2\n", [], 10, 3),
+        ((CORPUS / "ci_n4_dim2").read_text(), ["--grid", "20"], 4, 20)],
+        ids=["vars_10", "grid_20"])
+    def test_grid_too_large_exit_2(self, capsys, tmp_path, text, flags, n,
+                                   radius):
+        # the grid is refused before any point of it is built
+        f = tmp_path / "ideal"
+        f.write_text(text)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "generic", str(f), *flags)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(
+            f"error: the radius-{radius} grid in {n} variables has "
+            f"{(2 * radius + 1) ** n} points, more than 100000")
 
 
 class TestFan:

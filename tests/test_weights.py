@@ -24,7 +24,9 @@ from tropgen.linalg import QQ, vec_dot
 from tropgen.poly import (GREVLEX, Ideal, TermOrder, parse_ideal_file,
                           parse_polynomial, weight_order)
 from tropgen.weights import (
+    MAX_GRID_POINTS,
     BudgetExceededError,
+    GridSizeError,
     IncompleteFanError,
     MembershipMap,
     _flip,
@@ -471,6 +473,15 @@ class TestNormalization:
 
         for w in product(range(-2, 3), repeat=3):
             assert mm.query(w) == in_tropical_variety(ideal, w)
+
+    def test_grid_cap_counts_before_building(self):
+        # (2r + 1)^n points are counted first: 7^10 would not fit in memory
+        with pytest.raises(GridSizeError, match=f" {7 ** 10} points, "):
+            normalized_grid(10, 3)
+        # the largest grid of tier-1 and the benchmark, n = 4 at radius 3,
+        # stays legal
+        assert (2 * 3 + 1) ** 4 <= MAX_GRID_POINTS
+        assert len(normalized_grid(4, 3)) == 867
 
     def test_integer_weights_stay_integer(self):
         key = normalize_grid_point((3, 5, 7))
